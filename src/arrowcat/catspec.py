@@ -7,11 +7,14 @@ Parsing never partially succeeds: any diagnostic aborts with CatspecError.
 """
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Container, Iterable, Mapping
 
-from .core import ObjlessCategory, is_wellformed_name, validate_objectless
+from .core import ObjlessCategory
 from .errors import ArrowCatError, InvalidCategoryError, NameNotFoundError
 from .functors import CONTRAVARIANT, COVARIANT, FunctorMap
 from .equivalence import NatTransf
@@ -42,6 +45,7 @@ class Diagnostic:
     kind: str
     message: str
     span: Span
+    offset: int  # character offset into the parsed text; ``span`` is its line:col
 
     def __str__(self) -> str:
         return f"{self.span}: {self.kind}: {self.message}"
@@ -63,11 +67,21 @@ class ObjlessDecl:
         object.__setattr__(self, "morphisms", tuple(sorted(self.morphisms)))
         object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
 
+    @cached_property
+    def objectless(self) -> ObjlessCategory:
+        """The validated category, built once per declaration."""
+        return ObjlessCategory.build(self.morphisms, self.table)
+
 
 @dataclass(frozen=True)
 class StandardDecl:
     name: str
     std: StdCategory
+
+    @cached_property
+    def objectless(self) -> ObjlessCategory:
+        """The validated arrow-only view, built once per declaration."""
+        return to_objectless(self.std)
 
 
 @dataclass(frozen=True)
@@ -116,19 +130,17 @@ class CatspecDocument:
 
     def category_report(self, name: str) -> ValidationReport:
         decl = self._category_decl(name)
-        if isinstance(decl, ObjlessDecl):
-            return validate_objectless(decl.morphisms, decl.table)
-        return validate_standard(decl.std)
+        if isinstance(decl, StandardDecl):
+            return validate_standard(decl.std)
+        try:
+            decl.objectless  # the one build validates; a failure carries the validator's report
+        except InvalidCategoryError as exc:
+            return exc.report
+        return ValidationReport.from_violations(())
 
     def objectless(self, name: str) -> ObjlessCategory:
         """The arrow-only view of a named category; raises on invalid data."""
-        decl = self._category_decl(name)
-        if isinstance(decl, ObjlessDecl):
-            report = self.category_report(name)
-            if not report.ok:
-                raise InvalidCategoryError(report)
-            return ObjlessCategory.build(decl.morphisms, decl.table)
-        return to_objectless(decl.std)
+        return self._category_decl(name).objectless
 
     def standard(self, name: str) -> StdCategory:
         decl = self._category_decl(name)
@@ -176,67 +188,50 @@ class CatspecDocument:
 # Lexer
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident | punct | eof
-    value: str
-    span: Span
+# A token is its text and its character offset.  Its kind needs no field:
+# only the eof token has empty text, and punctuation never equals an
+# identifier.  Tokens are plain tuples, since one is made per word of input.
+_Token = tuple[str, int]
+
+# Each match is one token together with the whitespace and comments before
+# it; the groups are tried in order, and the last match is the empty ``eof``.
+# A word (``\w+``: the characters ``str.isalnum`` accepts, and ``_``) that is
+# not a well-formed name is still an identifier token, with a diagnostic.
+_TOKEN_RE = re.compile(r"""
+    (?:[ \t\r\n]+|\#[^\n]*)*
+    (?: (?P<punct>->|=>|[{}:;,.=\[\]])
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)(?!\w)
+      | (?P<word>\w+)
+      | (?P<bad>.)
+      | (?P<eof>\Z)
+    )
+""", re.VERBOSE | re.DOTALL)
+
+_PUNCT = frozenset(("->", "=>", "{", "}", ":", ";", ",", ".", "=", "[", "]"))  # the punct group's tokens
+_Pending = tuple[str, str, int]  # a diagnostic as (kind, message, offset)
 
 
-_PUNCT2 = ("->", "=>")
-_PUNCT1 = "{}:;,.=[]"
-
-
-def _lex(text: str) -> tuple[list[_Token], list[Diagnostic]]:
+def _lex(text: str) -> tuple[list[_Token], list[_Pending]]:
     tokens: list[_Token] = []
-    diagnostics: list[Diagnostic] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-
-    def bump(length: int):
-        nonlocal line, col, i
-        for _ in range(length):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            bump(1)
+    diagnostics: list[_Pending] = []
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        value, offset = match[kind], match.start(kind)
+        if kind == "bad":
+            diagnostics.append((LEX, f"unexpected character {value!r}", offset))
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                bump(1)
-            continue
-        span = Span(line, col)
-        if text.startswith(_PUNCT2[0], i) or text.startswith(_PUNCT2[1], i):
-            tokens.append(_Token("punct", text[i:i + 2], span))
-            bump(2)
-            continue
-        if ch in _PUNCT1:
-            tokens.append(_Token("punct", ch, span))
-            bump(1)
-            continue
-        if ch.isalnum() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if not is_wellformed_name(word):
-                diagnostics.append(Diagnostic(
-                    LEX, f"malformed name {word!r} (names must not begin with a digit)", span,
-                ))
-            tokens.append(_Token("ident", word, span))
-            bump(j - i)
-            continue
-        diagnostics.append(Diagnostic(LEX, f"unexpected character {ch!r}", span))
-        bump(1)
-    tokens.append(_Token("eof", "", Span(line, col)))
+        if kind == "word":
+            diagnostics.append((LEX, f"malformed name {value!r} (names must not begin with a digit)", offset))
+        tokens.append((value, offset))
+        if kind == "eof":  # stop before the empty match that can follow an eof ending in a skip
+            break
     return tokens, diagnostics
+
+
+def _span(newlines: list[int], offset: int) -> Span:
+    """The line:col of ``offset``, given the sorted offsets of the text's newlines."""
+    line = bisect_left(newlines, offset)
+    return Span(line + 1, offset - newlines[line - 1] if line else offset + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -244,230 +239,244 @@ def _lex(text: str) -> tuple[list[_Token], list[Diagnostic]]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], diagnostics: list[Diagnostic]):
+    def __init__(self, tokens: list[_Token], diagnostics: list[_Pending]):
         self.tokens = tokens
         self.pos = 0
         self.diagnostics = diagnostics
         self.doc = CatspecDocument()
+        self.decl_offsets: dict[tuple[str, str], int] = {}
 
     # -- token helpers
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        """The text of the current token."""
+        return self.tokens[self.pos][0]
+
+    def at_eof(self) -> bool:
+        return not self.tokens[self.pos][0]
 
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0]:  # the eof token is never consumed
             self.pos += 1
         return tok
 
-    def at_punct(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.value == value
+    def at(self, value: str) -> bool:
+        return self.tokens[self.pos][0] == value
 
-    def error(self, kind: str, message: str, span: Span | None = None) -> None:
-        self.diagnostics.append(Diagnostic(kind, message, span or self.peek().span))
+    def error(self, kind: str, message: str, offset: int | None = None) -> None:
+        self.diagnostics.append((kind, message, self.tokens[self.pos][1] if offset is None else offset))
 
     def expect_punct(self, value: str) -> bool:
-        if self.at_punct(value):
+        if self.at(value):
             self.advance()
             return True
-        self.error(SYNTAX, f"expected {value!r}, found {self.peek().value!r}")
+        self.error(SYNTAX, f"expected {value!r}, found {self.peek()!r}")
         return False
 
     def expect_ident(self, what: str) -> _Token | None:
-        tok = self.peek()
-        if tok.kind == "ident":
+        value = self.peek()
+        if value and value not in _PUNCT:
             return self.advance()
-        self.error(SYNTAX, f"expected {what}, found {tok.value!r}")
+        self.error(SYNTAX, f"expected {what}, found {value!r}")
         return None
 
     def expect_terminator(self) -> None:
-        if self.at_punct(";"):
+        if self.at(";"):
             self.advance()
             return
-        self.error(MISSING_TERMINATOR, f"missing ';' before {self.peek().value!r}")
+        self.error(MISSING_TERMINATOR, f"missing ';' before {self.peek()!r}")
 
     def sync_statement(self) -> None:
         while True:
-            tok = self.peek()
-            if tok.kind == "eof" or (tok.kind == "punct" and tok.value in ";}"):
-                if tok.kind == "punct" and tok.value == ";":
+            value = self.peek()
+            if not value or value in (";", "}"):
+                if value == ";":
                     self.advance()
                 return
             self.advance()
 
+    def expect_seq(self, *parts: str) -> list[_Token] | None:
+        """Read ``parts`` in order: punctuation literally, any other part is a
+        description of the identifier expected there.  Returns the identifiers,
+        or None after reporting the first part that is missing."""
+        idents = []
+        for part in parts:
+            if part in _PUNCT:
+                if not self.expect_punct(part):
+                    return None
+            else:
+                tok = self.expect_ident(part)
+                if tok is None:
+                    return None
+                idents.append(tok)
+        return idents
+
+    def statement(self, *parts: str) -> list[_Token] | None:
+        """Skip the keyword and read ``parts``; on a miss, skip to the end of the statement."""
+        self.advance()
+        idents = self.expect_seq(*parts)
+        if idents is None:
+            self.sync_statement()
+        return idents
+
+    def block(self, expected: str, statements: dict[str, Callable[[], None]]) -> None:
+        """Statements up to the closing brace, each dispatched on its keyword."""
+        while not self.at("}") and not self.at_eof():
+            head = self.peek()
+            if head in statements:
+                statements[head]()
+            else:
+                self.error(SYNTAX, f"expected {expected}, found {head!r}")
+                self.advance()
+                self.sync_statement()
+        self.expect_punct("}")
+
     # -- entity bookkeeping
 
-    def declare(self, kind: str, name: str, span: Span, table: dict) -> bool:
+    def declare(
+        self, kind: str, name_tok: _Token, table: dict, decl: CategoryDecl | FunctorDecl | NatDecl,
+    ) -> None:
+        name, offset = name_tok
         if name in table:
-            self.error(DUPLICATE_NAME, f"duplicate {kind} name {name!r}", span)
-            return False
-        self.doc.source_spans[(kind, name)] = span
-        return True
+            self.error(DUPLICATE_NAME, f"duplicate {kind} name {name!r}", offset)
+            return
+        self.decl_offsets[(kind, name)] = offset
+        table[name] = decl
 
     # -- grammar
 
     def parse(self) -> CatspecDocument:
-        while self.peek().kind != "eof":
-            tok = self.peek()
-            if tok.kind == "ident" and tok.value == "objless":
-                self.parse_objless()
-            elif tok.kind == "ident" and tok.value == "category":
-                self.parse_category()
-            elif tok.kind == "ident" and tok.value == "functor":
-                self.parse_functor()
-            elif tok.kind == "ident" and tok.value == "nat":
-                self.parse_nat()
+        declarations = {
+            "objless": self.parse_objless, "category": self.parse_category,
+            "functor": self.parse_functor, "nat": self.parse_nat,
+        }
+        while not self.at_eof():
+            head = self.peek()
+            if head in declarations:
+                declarations[head]()
             else:
-                self.error(SYNTAX, f"expected a declaration keyword, found {tok.value!r}")
+                self.error(SYNTAX, f"expected a declaration keyword, found {head!r}")
                 self.advance()
         return self.doc
 
-    def parse_name_list(self) -> list[_Token]:
+    def parse_names(self, noun: str, seen: dict[str, int]) -> None:
+        """``arrows: a, b;`` or ``objects: A, B;``; records each new name's offset."""
+        self.advance()
+        self.expect_punct(":")
         names = []
-        tok = self.expect_ident("a name")
-        if tok is not None:
-            names.append(tok)
-        while self.at_punct(","):
-            self.advance()
+        while True:
             tok = self.expect_ident("a name")
             if tok is not None:
                 names.append(tok)
-        return names
+            if not self.at(","):
+                break
+            self.advance()
+        for name, offset in names:
+            if name in seen:
+                self.error(DUPLICATE_NAME, f"duplicate {noun} {name!r}", offset)
+            else:
+                seen[name] = offset
+        self.expect_terminator()
 
-    def parse_objless(self) -> None:
-        self.advance()  # objless
-        name_tok = self.expect_ident("a category name")
-        if name_tok is None or not self.expect_punct("{"):
+    def parse_compose(self, noun: str, entries: list[tuple[str, str, str, int]]) -> None:
+        """``compose: after . before = result;``, with ``noun`` naming what each part must be."""
+        _, offset = self.advance()
+        self.expect_punct(":")  # reported when missing, but the statement is still read
+        parts = self.expect_seq(noun, ".", noun, "=", noun)
+        if parts is None:
             self.sync_statement()
             return
-        morphisms: dict[str, Span] = {}
+        (after, _), (before, _), (result, _) = parts
+        entries.append((after, before, result, offset))
+        self.expect_terminator()
+
+    def parse_pair(self, pairs: list[tuple[str, str, int]], *parts: str) -> None:
+        """``keyword key <sep> value;``, recorded as (key, value, offset of key)."""
+        idents = self.statement(*parts)
+        if idents is not None:
+            (key, offset), (value, _) = idents
+            pairs.append((key, value, offset))
+            self.expect_terminator()
+
+    def compose_table(
+        self, entries: list[tuple[str, str, str, int]], arrows: Container[str],
+    ) -> dict[tuple[str, str], str]:
         table: dict[tuple[str, str], str] = {}
-        entries: list[tuple[str, str, str, Span]] = []
-        while not self.at_punct("}") and self.peek().kind != "eof":
-            head = self.peek()
-            if head.kind == "ident" and head.value == "arrows":
-                self.advance()
-                self.expect_punct(":")
-                for tok in self.parse_name_list():
-                    if tok.value in morphisms:
-                        self.error(DUPLICATE_NAME, f"duplicate arrow {tok.value!r}", tok.span)
-                    else:
-                        morphisms[tok.value] = tok.span
-                self.expect_terminator()
-            elif head.kind == "ident" and head.value == "compose":
-                self.advance()
-                self.expect_punct(":")
-                after = self.expect_ident("a morphism name")
-                ok = after is not None and self.expect_punct(".")
-                before = self.expect_ident("a morphism name") if ok else None
-                ok = before is not None and self.expect_punct("=")
-                result = self.expect_ident("a morphism name") if ok else None
-                if after and before and result:
-                    entries.append((after.value, before.value, result.value, head.span))
-                else:
-                    self.sync_statement()
-                    continue
-                self.expect_terminator()
-            else:
-                self.error(SYNTAX, f"expected 'arrows' or 'compose', found {head.value!r}")
-                self.advance()
-                self.sync_statement()
-        self.expect_punct("}")
-        for after, before, result, span in entries:
+        for after, before, result, offset in entries:
             for part in (after, before, result):
-                if part not in morphisms:
-                    self.error(UNKNOWN_NAME, f"composition references undeclared arrow {part!r}", span)
+                if part not in arrows:
+                    self.error(UNKNOWN_NAME, f"composition references undeclared arrow {part!r}", offset)
             prior = table.get((after, before))
             if prior is not None and prior != result:
                 self.error(
                     CONFLICTING_COMPOSITION,
-                    f"{after}.{before} declared as both {prior!r} and {result!r}", span,
+                    f"{after}.{before} declared as both {prior!r} and {result!r}", offset,
                 )
             else:
                 table[(after, before)] = result
-        if self.declare("category", name_tok.value, name_tok.span, self.doc.categories):
-            self.doc.categories[name_tok.value] = ObjlessDecl(
-                name=name_tok.value, morphisms=tuple(morphisms), table=table,
-            )
+        return table
+
+    def parse_objless(self) -> None:
+        header = self.statement("a category name", "{")
+        if header is None:
+            return
+        morphisms: dict[str, int] = {}
+        entries: list[tuple[str, str, str, int]] = []
+        self.block("'arrows' or 'compose'", {
+            "arrows": lambda: self.parse_names("arrow", morphisms),
+            "compose": lambda: self.parse_compose("a morphism name", entries),
+        })
+        table = self.compose_table(entries, morphisms)
+        [name_tok] = header
+        self.declare("category", name_tok, self.doc.categories,
+                     ObjlessDecl(name=name_tok[0], morphisms=tuple(morphisms), table=table))
 
     def parse_category(self) -> None:
-        self.advance()  # category
-        name_tok = self.expect_ident("a category name")
-        if name_tok is None or not self.expect_punct("{"):
-            self.sync_statement()
+        header = self.statement("a category name", "{")
+        if header is None:
             return
-        objects: dict[str, Span] = {}
+        [name_tok] = header
+        name, name_offset = name_tok
+        objects: dict[str, int] = {}
         arrows: dict[str, tuple[str, str]] = {}
-        arrow_spans: dict[str, Span] = {}
+        arrow_offsets: dict[str, int] = {}
         declared_ids: dict[str, str] = {}
-        entries: list[tuple[str, str, str, Span]] = []
-        while not self.at_punct("}") and self.peek().kind != "eof":
-            head = self.peek()
-            if head.kind == "ident" and head.value == "objects":
-                self.advance()
-                self.expect_punct(":")
-                for tok in self.parse_name_list():
-                    if tok.value in objects:
-                        self.error(DUPLICATE_NAME, f"duplicate object {tok.value!r}", tok.span)
-                    else:
-                        objects[tok.value] = tok.span
-                self.expect_terminator()
-            elif head.kind == "ident" and head.value == "arrow":
-                self.advance()
-                arrow = self.expect_ident("an arrow name")
-                ok = arrow is not None and self.expect_punct(":")
-                dom = self.expect_ident("an object name") if ok else None
-                ok = dom is not None and self.expect_punct("->")
-                cod = self.expect_ident("an object name") if ok else None
-                if arrow and dom and cod:
-                    if arrow.value in arrows:
-                        self.error(DUPLICATE_NAME, f"duplicate arrow {arrow.value!r}", arrow.span)
-                    else:
-                        arrows[arrow.value] = (dom.value, cod.value)
-                        arrow_spans[arrow.value] = arrow.span
-                else:
-                    self.sync_statement()
-                    continue
-                self.expect_terminator()
-            elif head.kind == "ident" and head.value == "id":
-                self.advance()
-                obj = self.expect_ident("an object name")
-                ok = obj is not None and self.expect_punct("=")
-                ident = self.expect_ident("an arrow name") if ok else None
-                if obj and ident:
-                    if obj.value in declared_ids:
-                        self.error(DUPLICATE_NAME, f"object {obj.value!r} has two identity declarations", obj.span)
-                    elif ident.value in arrows:
-                        self.error(DUPLICATE_NAME, f"identity name {ident.value!r} already declared", ident.span)
-                    else:
-                        declared_ids[obj.value] = ident.value
-                        arrows[ident.value] = (obj.value, obj.value)
-                        arrow_spans[ident.value] = ident.span
-                else:
-                    self.sync_statement()
-                    continue
-                self.expect_terminator()
-            elif head.kind == "ident" and head.value == "compose":
-                self.advance()
-                self.expect_punct(":")
-                after = self.expect_ident("an arrow name")
-                ok = after is not None and self.expect_punct(".")
-                before = self.expect_ident("an arrow name") if ok else None
-                ok = before is not None and self.expect_punct("=")
-                result = self.expect_ident("an arrow name") if ok else None
-                if after and before and result:
-                    entries.append((after.value, before.value, result.value, head.span))
-                else:
-                    self.sync_statement()
-                    continue
-                self.expect_terminator()
+        entries: list[tuple[str, str, str, int]] = []
+
+        def arrow_statement() -> None:
+            parts = self.statement("an arrow name", ":", "an object name", "->", "an object name")
+            if parts is None:
+                return
+            (arrow, offset), (dom, _), (cod, _) = parts
+            if arrow in arrows:
+                self.error(DUPLICATE_NAME, f"duplicate arrow {arrow!r}", offset)
             else:
-                self.error(SYNTAX, f"expected 'objects', 'arrow', 'id', or 'compose', found {head.value!r}")
-                self.advance()
-                self.sync_statement()
-        self.expect_punct("}")
+                arrows[arrow] = (dom, cod)
+                arrow_offsets[arrow] = offset
+            self.expect_terminator()
+
+        def id_statement() -> None:
+            parts = self.statement("an object name", "=", "an arrow name")
+            if parts is None:
+                return
+            (obj, obj_offset), (ident, ident_offset) = parts
+            if obj in declared_ids:
+                self.error(DUPLICATE_NAME, f"object {obj!r} has two identity declarations", obj_offset)
+            elif ident in arrows:
+                self.error(DUPLICATE_NAME, f"identity name {ident!r} already declared", ident_offset)
+            else:
+                declared_ids[obj] = ident
+                arrows[ident] = (obj, obj)
+                arrow_offsets[ident] = ident_offset
+            self.expect_terminator()
+
+        self.block("'objects', 'arrow', 'id', or 'compose'", {
+            "objects": lambda: self.parse_names("object", objects),
+            "arrow": arrow_statement,
+            "id": id_statement,
+            "compose": lambda: self.parse_compose("an arrow name", entries),
+        })
 
         for obj in objects:
             if obj not in declared_ids:
@@ -482,28 +491,15 @@ class _Parser:
                     declared_ids[obj] = auto
                     arrows[auto] = (obj, obj)
         for arrow, (dom, cod) in sorted(arrows.items()):
-            span = arrow_spans.get(arrow, name_tok.span)
+            offset = arrow_offsets.get(arrow, name_offset)
             for obj in (dom, cod):
                 if obj not in objects:
-                    self.error(UNKNOWN_NAME, f"arrow {arrow!r} references undeclared object {obj!r}", span)
+                    self.error(UNKNOWN_NAME, f"arrow {arrow!r} references undeclared object {obj!r}", offset)
         for obj in declared_ids:
             if obj not in objects:
-                self.error(UNKNOWN_NAME, f"identity declared for undeclared object {obj!r}", name_tok.span)
+                self.error(UNKNOWN_NAME, f"identity declared for undeclared object {obj!r}", name_offset)
 
-        table: dict[tuple[str, str], str] = {}
-        for after, before, result, span in entries:
-            for part in (after, before, result):
-                if part not in arrows:
-                    self.error(UNKNOWN_NAME, f"composition references undeclared arrow {part!r}", span)
-            prior = table.get((after, before))
-            if prior is not None and prior != result:
-                self.error(
-                    CONFLICTING_COMPOSITION,
-                    f"{after}.{before} declared as both {prior!r} and {result!r}", span,
-                )
-            else:
-                table[(after, before)] = result
-
+        table = self.compose_table(entries, arrows)
         id_of = dict(declared_ids)
         for arrow, (dom, cod) in arrows.items():
             dom_id = id_of.get(dom)
@@ -513,120 +509,72 @@ class _Parser:
             if cod_id is not None:
                 table.setdefault((cod_id, arrow), arrow)
 
-        if self.declare("category", name_tok.value, name_tok.span, self.doc.categories):
-            self.doc.categories[name_tok.value] = StandardDecl(
-                name=name_tok.value,
-                std=StdCategory.make(objects=objects, arrows=arrows, table=table, id_of=id_of),
-            )
+        std = StdCategory.make(objects=objects, arrows=arrows, table=table, id_of=id_of)
+        self.declare("category", name_tok, self.doc.categories, StandardDecl(name=name, std=std))
 
     def parse_functor(self) -> None:
-        self.advance()  # functor
-        name_tok = self.expect_ident("a functor name")
-        ok = name_tok is not None and self.expect_punct(":")
-        source = self.expect_ident("a category name") if ok else None
-        ok = source is not None and self.expect_punct("->")
-        target = self.expect_ident("a category name") if ok else None
-        if name_tok is None or source is None or target is None:
-            self.sync_statement()
+        header = self.statement("a functor name", ":", "a category name", "->", "a category name")
+        if header is None:
             return
+        name_tok, (source, source_offset), (target, target_offset) = header
         variance = COVARIANT
-        if self.peek().kind == "ident" and self.peek().value == "contravariant":
+        if self.at("contravariant"):
             self.advance()
             variance = CONTRAVARIANT
-        elif self.at_punct("["):
+        elif self.at("["):
             self.advance()
             tok = self.expect_ident("'contravariant'")
-            if tok is not None and tok.value != "contravariant":
-                self.error(SYNTAX, f"expected 'contravariant', found {tok.value!r}", tok.span)
+            if tok is not None and tok[0] != "contravariant":
+                self.error(SYNTAX, f"expected 'contravariant', found {tok[0]!r}", tok[1])
             self.expect_punct("]")
             variance = CONTRAVARIANT
         if not self.expect_punct("{"):
             self.sync_statement()
             return
-        mapping: dict[str, str] = {}
-        pairs: list[tuple[str, str, Span]] = []
-        while not self.at_punct("}") and self.peek().kind != "eof":
-            head = self.peek()
-            if head.kind == "ident" and head.value == "map":
-                self.advance()
-                key = self.expect_ident("a morphism name")
-                ok = key is not None and self.expect_punct("->")
-                value = self.expect_ident("a morphism name") if ok else None
-                if key and value:
-                    pairs.append((key.value, value.value, key.span))
-                else:
-                    self.sync_statement()
-                    continue
-                self.expect_terminator()
-            else:
-                self.error(SYNTAX, f"expected 'map', found {head.value!r}")
-                self.advance()
-                self.sync_statement()
-        self.expect_punct("}")
+        pairs: list[tuple[str, str, int]] = []
+        self.block("'map'", {"map": lambda: self.parse_pair(pairs, "a morphism name", "->", "a morphism name")})
 
-        for cat, tok in ((source.value, source), (target.value, target)):
+        for cat, offset in ((source, source_offset), (target, target_offset)):
             if cat not in self.doc.categories:
-                self.error(UNKNOWN_NAME, f"functor references unknown category {cat!r}", tok.span)
-        src_names = self.doc.morphism_names(source.value) if source.value in self.doc.categories else frozenset()
-        dst_names = self.doc.morphism_names(target.value) if target.value in self.doc.categories else frozenset()
-        for key, value, span in pairs:
+                self.error(UNKNOWN_NAME, f"functor references unknown category {cat!r}", offset)
+        src_names = self.doc.morphism_names(source) if source in self.doc.categories else frozenset()
+        dst_names = self.doc.morphism_names(target) if target in self.doc.categories else frozenset()
+        mapping: dict[str, str] = {}
+        for key, value, offset in pairs:
             if key in mapping:
-                self.error(DUPLICATE_NAME, f"morphism {key!r} mapped twice", span)
+                self.error(DUPLICATE_NAME, f"morphism {key!r} mapped twice", offset)
                 continue
-            if source.value in self.doc.categories and key not in src_names:
-                self.error(UNKNOWN_NAME, f"map key {key!r} is not a morphism of {source.value}", span)
-            if target.value in self.doc.categories and value not in dst_names:
-                self.error(UNKNOWN_NAME, f"map value {value!r} is not a morphism of {target.value}", span)
+            if source in self.doc.categories and key not in src_names:
+                self.error(UNKNOWN_NAME, f"map key {key!r} is not a morphism of {source}", offset)
+            if target in self.doc.categories and value not in dst_names:
+                self.error(UNKNOWN_NAME, f"map value {value!r} is not a morphism of {target}", offset)
             mapping[key] = value
 
-        if self.declare("functor", name_tok.value, name_tok.span, self.doc.functors):
-            self.doc.functors[name_tok.value] = FunctorDecl(
-                name=name_tok.value, source=source.value, target=target.value,
-                variance=variance, mapping=mapping,
-            )
+        self.declare("functor", name_tok, self.doc.functors, FunctorDecl(
+            name=name_tok[0], source=source, target=target, variance=variance, mapping=mapping,
+        ))
 
     def parse_nat(self) -> None:
-        self.advance()  # nat
-        name_tok = self.expect_ident("a transformation name")
-        ok = name_tok is not None and self.expect_punct(":")
-        source = self.expect_ident("a functor name") if ok else None
-        ok = source is not None and self.expect_punct("=>")
-        target = self.expect_ident("a functor name") if ok else None
-        if name_tok is None or source is None or target is None or not self.expect_punct("{"):
-            self.sync_statement()
+        header = self.statement("a transformation name", ":", "a functor name", "=>", "a functor name", "{")
+        if header is None:
             return
-        components: dict[str, str] = {}
-        triples: list[tuple[str, str, Span]] = []
-        while not self.at_punct("}") and self.peek().kind != "eof":
-            head = self.peek()
-            if head.kind == "ident" and head.value == "component":
-                self.advance()
-                key = self.expect_ident("an identity or object name")
-                ok = key is not None and self.expect_punct(":")
-                value = self.expect_ident("a morphism name") if ok else None
-                if key and value:
-                    triples.append((key.value, value.value, key.span))
-                else:
-                    self.sync_statement()
-                    continue
-                self.expect_terminator()
-            else:
-                self.error(SYNTAX, f"expected 'component', found {head.value!r}")
-                self.advance()
-                self.sync_statement()
-        self.expect_punct("}")
+        name_tok, (source, source_offset), (target, target_offset) = header
+        triples: list[tuple[str, str, int]] = []
+        self.block("'component'", {
+            "component": lambda: self.parse_pair(triples, "an identity or object name", ":", "a morphism name"),
+        })
 
-        source_decl = self.doc.functors.get(source.value)
-        target_decl = self.doc.functors.get(target.value)
-        for fun, tok in ((source.value, source), (target.value, target)):
+        source_decl = self.doc.functors.get(source)
+        target_decl = self.doc.functors.get(target)
+        for fun, offset in ((source, source_offset), (target, target_offset)):
             if fun not in self.doc.functors:
-                self.error(UNKNOWN_NAME, f"transformation references unknown functor {fun!r}", tok.span)
+                self.error(UNKNOWN_NAME, f"transformation references unknown functor {fun!r}", offset)
         if source_decl is not None and target_decl is not None:
             if (source_decl.source, source_decl.target) != (target_decl.source, target_decl.target):
                 self.error(
                     WIRING,
-                    f"functors {source.value} and {target.value} do not share source and target",
-                    name_tok.span,
+                    f"functors {source} and {target} do not share source and target",
+                    name_tok[1],
                 )
 
         key_names: frozenset[str] = frozenset()
@@ -640,21 +588,20 @@ class _Parser:
         if source_decl is not None and source_decl.target in self.doc.categories:
             value_names = self.doc.morphism_names(source_decl.target)
 
-        for key, value, span in triples:
+        components: dict[str, str] = {}
+        for key, value, offset in triples:
             if key in components:
-                self.error(DUPLICATE_NAME, f"component at {key!r} declared twice", span)
+                self.error(DUPLICATE_NAME, f"component at {key!r} declared twice", offset)
                 continue
             if key_names and key not in key_names:
-                self.error(UNKNOWN_NAME, f"component key {key!r} not found in the source category", span)
+                self.error(UNKNOWN_NAME, f"component key {key!r} not found in the source category", offset)
             if value_names and value not in value_names:
-                self.error(UNKNOWN_NAME, f"component value {value!r} not found in the target category", span)
+                self.error(UNKNOWN_NAME, f"component value {value!r} not found in the target category", offset)
             components[key] = value
 
-        if self.declare("nat", name_tok.value, name_tok.span, self.doc.nats):
-            self.doc.nats[name_tok.value] = NatDecl(
-                name=name_tok.value, source=source.value, target=target.value,
-                components=components,
-            )
+        self.declare("nat", name_tok, self.doc.nats, NatDecl(
+            name=name_tok[0], source=source, target=target, components=components,
+        ))
 
 
 def parse(text: str) -> CatspecDocument:
@@ -662,8 +609,13 @@ def parse(text: str) -> CatspecDocument:
     tokens, diagnostics = _lex(text)
     parser = _Parser(tokens, diagnostics)
     doc = parser.parse()
+    newlines = [match.start() for match in re.finditer("\n", text)]
     if parser.diagnostics:
-        raise CatspecError(parser.diagnostics)
+        raise CatspecError(
+            Diagnostic(kind, message, _span(newlines, offset), offset)
+            for kind, message, offset in parser.diagnostics
+        )
+    doc.source_spans = {key: _span(newlines, offset) for key, offset in parser.decl_offsets.items()}
     return doc
 
 

@@ -49,7 +49,14 @@ from .generators import (
     gen_random,
     gen_walking_iso,
 )
-from .limits import LIMIT_KINDS, binary_product, equalizer, preserves_finite_limits, terminal_objects
+from .limits import (
+    LIMIT_KINDS,
+    _parallel_pairs,
+    binary_product,
+    equalizer,
+    preserves_finite_limits,
+    terminal_objects,
+)
 from .standard import to_standard
 
 OK, FAIL, USAGE = 0, 1, 2
@@ -334,17 +341,11 @@ def _cmd_limits(args, out: _Output) -> int:
                 out.say(f"product {a} x {b}: {found}")
         out.record["products"] = products
         equalizer_count, missing = 0, []
-        by_hom: dict[tuple[str, str], list[str]] = {}
-        for m in sorted(cat.morphisms):
-            by_hom.setdefault((cat.dom[m], cat.cod[m]), []).append(m)
-        for members in by_hom.values():
-            for i, f in enumerate(members):
-                for g in members[i:]:
-                    cone = equalizer(cat, f, g)
-                    if cone is None:
-                        missing.append((f, g))
-                    else:
-                        equalizer_count += 1
+        for f, g in _parallel_pairs(cat):
+            if equalizer(cat, f, g) is None:
+                missing.append((f, g))
+            else:
+                equalizer_count += 1
         out.record["equalizers"] = {"found": equalizer_count, "missing": missing}
         out.say(f"equalizers: {equalizer_count} found, {len(missing)} missing")
         return OK

@@ -1,22 +1,27 @@
 """Parser, serializer, diagnostics corpus, and generator contracts."""
 from __future__ import annotations
 
+import json
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arrowcat import fixtures as fx
+from arrowcat import core, fixtures as fx
 from arrowcat.catspec import (
     CatspecDocument,
     CatspecError,
     functor_decl,
+    nat_decl,
     objless_decl,
     parse,
     serialize,
     standard_decl,
 )
+from arrowcat.cli import main
 from arrowcat.core import validate_objectless
+from arrowcat.equivalence import identity_nat
 from arrowcat.errors import GeneratorError, InvalidCategoryError
 from arrowcat.functors import functor_identity
 from arrowcat.generators import (
@@ -166,6 +171,111 @@ def test_malformed_corpus(name, kind, line):
     first = exc.value.diagnostics[0]
     assert first.kind == kind
     assert first.span.line == line
+
+
+# Every diagnostic, in full, for the malformed corpus and for seeded one-edit
+# mutations of the valid fixtures: the text is the fixture with ``delete``
+# characters at ``at`` replaced by ``insert``.  Recorded from the
+# character-stepping lexer that the regex lexer replaced.
+GOLDEN = json.loads((FIXTURES / "golden_diagnostics.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[f"{i:02d}-{c['fixture']}" for i, c in enumerate(GOLDEN)])
+def test_golden_diagnostics(case):
+    text = (FIXTURES / case["fixture"]).read_text(encoding="utf-8")
+    text = text[:case["at"]] + case["insert"] + text[case["at"] + case["delete"]:]
+    with pytest.raises(CatspecError) as exc:
+        parse(text)
+    assert [str(d) for d in exc.value.diagnostics] == case["diagnostics"]
+
+
+_FUZZ_PIECES = st.sampled_from([
+    " ", "\n", "\r", "\t", "\x0b", "#", "{", "}", ":", ";", ",", ".", "=", "[", "]", "-", ">",
+    "->", "=>", "@", "é", "٣", "9", "_", "x", "A", "id_A", "objless", "category", "functor", "nat",
+    "arrows", "objects", "arrow", "id", "compose", "map", "component", "contravariant",
+])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_FUZZ_PIECES, max_size=60).map("".join))
+def test_parse_fuzz_raises_only_catspec_errors_with_true_spans(text):
+    try:
+        doc = parse(text)
+    except CatspecError as exc:
+        assert exc.diagnostics
+        for diag in exc.diagnostics:
+            assert 0 <= diag.offset <= len(text)
+            line = text.count("\n", 0, diag.offset) + 1
+            col = diag.offset - text.rfind("\n", 0, diag.offset)
+            assert (diag.span.line, diag.span.col) == (line, col)
+            if diag.message.startswith("unexpected character"):
+                assert diag.message == f"unexpected character {text[diag.offset]!r}"
+        return
+    assert isinstance(doc, CatspecDocument)
+
+
+def _chain_file(tmp_path) -> Path:
+    """A 3-chain C with its identity functor I and identity transformation t."""
+    cat = gen_poset(Poset.chain(["c0", "c1", "c2"]))
+    identity = functor_identity(cat)
+    doc = CatspecDocument()
+    doc.categories["C"] = objless_decl("C", cat)
+    doc.functors["I"] = functor_decl("I", "C", "C", identity)
+    doc.nats["t"] = nat_decl("t", "I", "I", identity_nat(identity))
+    path = tmp_path / "chain.cat"
+    path.write_text(serialize(doc), encoding="utf-8")
+    return path
+
+
+def _count_validations(monkeypatch) -> list:
+    """Wrap validate_objectless under every name an arrowcat module binds it to."""
+    calls = []
+    original = core.validate_objectless
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "arrowcat" or name.startswith("arrowcat."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_check_validates_the_category_once(tmp_path, monkeypatch, capsys):
+    path = _chain_file(tmp_path)
+    calls = _count_validations(monkeypatch)
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["ok: category C", "ok: functor I: C -> C", "ok: nat t"]
+    # The category report, the functor's source and target and the
+    # transformation's functors all share one build.
+    assert len(calls) == 1
+
+
+def test_objectless_is_built_once_per_declaration(tmp_path):
+    doc = parse(_chain_file(tmp_path).read_text(encoding="utf-8"))
+    first = doc.objectless("C")
+    assert doc.objectless("C") is first
+    assert doc.functor("I").source is first and doc.nat("t").source.target is first
+    # A replaced declaration is built afresh, never served from the old cache.
+    other = gen_poset(Poset.chain(["d0", "d1"]))
+    doc.categories["C"] = objless_decl("C", other)
+    assert doc.objectless("C") == other
+    std_doc = parse((FIXTURES / "twochain.cat").read_text(encoding="utf-8"))
+    assert std_doc.objectless("TwoChainStd") is std_doc.objectless("TwoChainStd")
+
+
+def test_invalid_objless_report_matches_the_validator():
+    doc = parse("objless A {\n  arrows: e, s;\n  compose: e . e = e;\n  compose: s . s = e;\n}\n")
+    decl = doc.categories["A"]
+    report = doc.category_report("A")
+    assert not report.ok
+    assert report == validate_objectless(decl.morphisms, decl.table)
+    with pytest.raises(InvalidCategoryError) as exc:
+        doc.objectless("A")
+    assert exc.value.report == report
 
 
 # ---------------------------------------------------------------------------

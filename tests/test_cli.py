@@ -152,6 +152,20 @@ def test_limits_category_listing(capsys):
     assert "terminal objects: i1" in out
 
 
+def test_limits_missing_equalizers_in_hom_order(capsys, tmp_path):
+    # Two copies of Z2; the involution a lives at identity y and b at x, so name
+    # order (a before b) and hom order ((x, x) before (y, y)) disagree.
+    path = tmp_path / "two_groups.cat"
+    path.write_text(
+        "objless Two {\n  arrows: a, b, x, y;\n"
+        "  compose: y . y = y; compose: a . y = a; compose: y . a = a; compose: a . a = y;\n"
+        "  compose: x . x = x; compose: b . x = b; compose: x . b = b; compose: b . b = x;\n}\n"
+    )
+    code, out, _ = run(capsys, "limits", str(path), "--cat", "Two", "--json")
+    assert code == 0
+    assert json.loads(out)["equalizers"] == {"found": 4, "missing": [["b", "x"], ["a", "y"]]}
+
+
 def test_limits_preservation_check(capsys):
     code, _, _ = run(capsys, "limits", str(FIXTURES / "galois.cat"), "--functor", "IdP")
     assert code == 0
