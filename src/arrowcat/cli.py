@@ -22,6 +22,7 @@ from .adjunction import (
 )
 from .catspec import CatspecDocument, CatspecError, parse, serialize
 from .equivalence import (
+    _inverse,
     are_equivalent,
     brute_force_equivalence,
     find_category_isomorphism,
@@ -39,7 +40,7 @@ from .errors import (
     NotMonotoneError,
     WiringError,
 )
-from .functors import FunctorMap, validate_functor
+from .functors import validate_functor
 from .generators import (
     Poset,
     gen_cyclic,
@@ -173,26 +174,44 @@ def _cmd_homs(args, out: _Output) -> int:
     return OK
 
 
+def _witness_doc(categories, functors=(), roundtrips=()) -> CatspecDocument:
+    """A witness document over objectless categories.
+
+    ``categories`` holds (name, category) pairs and ``functors`` (name,
+    source, target, functor) tuples.  Each (nat name, category name, nat) in
+    ``roundtrips`` adds the nat together with its source and target functors,
+    named ``id_<category>`` and ``<category>_roundtrip``.
+    """
+    doc = CatspecDocument()
+    for name, cat in categories:
+        doc.categories[name] = catspec.objless_decl(name, cat)
+    for name, source, target, functor in functors:
+        doc.functors[name] = catspec.functor_decl(name, source, target, functor)
+    for nat_name, cat_name, nat in roundtrips:
+        id_name, roundtrip_name = f"id_{cat_name}", f"{cat_name}_roundtrip"
+        doc.functors[id_name] = catspec.functor_decl(id_name, cat_name, cat_name, nat.source)
+        doc.functors[roundtrip_name] = catspec.functor_decl(
+            roundtrip_name, cat_name, cat_name, nat.target)
+        doc.nats[nat_name] = catspec.nat_decl(nat_name, id_name, roundtrip_name, nat)
+    return doc
+
+
+def _caps(args) -> dict:
+    """The --max-morphisms cap when given, so each route otherwise keeps its own default."""
+    return {} if args.max_morphisms is None else {"max_morphisms": args.max_morphisms}
+
+
 def _cmd_skeleton(args, out: _Output) -> int:
     doc = _read_document(args.file)
     cat = doc.objectless(args.cat)
     result = skeleton(cat, seed=args.seed)
     skel_name = f"{args.cat}_skeleton"
-    id_name = f"id_{args.cat}"
-    roundtrip_name = f"{args.cat}_roundtrip"
-    witness_doc = CatspecDocument()
-    witness_doc.categories[args.cat] = catspec.objless_decl(args.cat, cat)
-    witness_doc.categories[skel_name] = catspec.objless_decl(skel_name, result.skeleton)
-    witness_doc.functors["inclusion"] = catspec.functor_decl(
-        "inclusion", skel_name, args.cat, result.inclusion)
-    witness_doc.functors["retraction"] = catspec.functor_decl(
-        "retraction", args.cat, skel_name, result.retraction)
-    witness_doc.functors[id_name] = catspec.functor_decl(
-        id_name, args.cat, args.cat, result.witness.source)
-    witness_doc.functors[roundtrip_name] = catspec.functor_decl(
-        roundtrip_name, args.cat, args.cat, result.witness.target)
-    witness_doc.nats["witness"] = catspec.nat_decl(
-        "witness", id_name, roundtrip_name, result.witness)
+    witness_doc = _witness_doc(
+        [(args.cat, cat), (skel_name, result.skeleton)],
+        [("inclusion", skel_name, args.cat, result.inclusion),
+         ("retraction", args.cat, skel_name, result.retraction)],
+        [("witness", args.cat, result.witness)],
+    )
     info = {
         "category": args.cat,
         "seed": args.seed,
@@ -215,22 +234,17 @@ def _cmd_iso(args, out: _Output) -> int:
     doc = _read_document(args.file)
     left = doc.objectless(args.left)
     right = doc.objectless(args.right)
-    functor = find_category_isomorphism(left, right, max_morphisms=args.max_morphisms)
+    functor = find_category_isomorphism(left, right, **_caps(args))
     out.record["isomorphic"] = functor is not None
     if functor is None:
         out.record["ok"] = False
         out.say(f"not isomorphic: {args.left} and {args.right}")
         return FAIL
-    witness_doc = CatspecDocument()
-    witness_doc.categories[args.left] = catspec.objless_decl(args.left, left)
-    witness_doc.categories[args.right] = catspec.objless_decl(args.right, right)
-    witness_doc.functors["iso_forward"] = catspec.functor_decl(
-        "iso_forward", args.left, args.right, functor)
-    inverse = FunctorMap(
-        source=right, target=left,
-        mapping={v: k for k, v in functor.mapping.items()}, name="iso_backward")
-    witness_doc.functors["iso_backward"] = catspec.functor_decl(
-        "iso_backward", args.right, args.left, inverse)
+    witness_doc = _witness_doc(
+        [(args.left, left), (args.right, right)],
+        [("iso_forward", args.left, args.right, functor),
+         ("iso_backward", args.right, args.left, _inverse(functor, "iso_backward"))],
+    )
     out.catspec(f"# category isomorphism {args.left} = {args.right}\n\n" + serialize(witness_doc))
     return OK
 
@@ -240,38 +254,21 @@ def _cmd_equiv(args, out: _Output) -> int:
     left = doc.objectless(args.left)
     right = doc.objectless(args.right)
     if args.brute_force:
-        witness = brute_force_equivalence(left, right)
+        witness = brute_force_equivalence(left, right, **_caps(args))
     else:
-        witness = are_equivalent(left, right, max_morphisms=args.max_morphisms, seed=args.seed)
+        witness = are_equivalent(left, right, seed=args.seed, **_caps(args))
     out.record["equivalent"] = witness is not None
     out.record["method"] = "brute-force" if args.brute_force else "skeleton"
     if witness is None:
         out.record["ok"] = False
         out.say(f"not equivalent: {args.left} and {args.right}")
         return FAIL
-    names = {
-        "id_left": f"id_{args.left}",
-        "id_right": f"id_{args.right}",
-        "rt_left": f"{args.left}_roundtrip",
-        "rt_right": f"{args.right}_roundtrip",
-    }
-    witness_doc = CatspecDocument()
-    witness_doc.categories[args.left] = catspec.objless_decl(args.left, left)
-    witness_doc.categories[args.right] = catspec.objless_decl(args.right, right)
-    witness_doc.functors["forward"] = catspec.functor_decl(
-        "forward", args.left, args.right, witness.forward)
-    witness_doc.functors["backward"] = catspec.functor_decl(
-        "backward", args.right, args.left, witness.backward)
-    witness_doc.functors[names["id_left"]] = catspec.functor_decl(
-        names["id_left"], args.left, args.left, witness.tau.source)
-    witness_doc.functors[names["rt_left"]] = catspec.functor_decl(
-        names["rt_left"], args.left, args.left, witness.tau.target)
-    witness_doc.functors[names["id_right"]] = catspec.functor_decl(
-        names["id_right"], args.right, args.right, witness.sigma.source)
-    witness_doc.functors[names["rt_right"]] = catspec.functor_decl(
-        names["rt_right"], args.right, args.right, witness.sigma.target)
-    witness_doc.nats["tau"] = catspec.nat_decl("tau", names["id_left"], names["rt_left"], witness.tau)
-    witness_doc.nats["sigma"] = catspec.nat_decl("sigma", names["id_right"], names["rt_right"], witness.sigma)
+    witness_doc = _witness_doc(
+        [(args.left, left), (args.right, right)],
+        [("forward", args.left, args.right, witness.forward),
+         ("backward", args.right, args.left, witness.backward)],
+        [("tau", args.left, witness.tau), ("sigma", args.right, witness.sigma)],
+    )
     out.catspec(f"# equivalence {args.left} ~ {args.right}\n\n" + serialize(witness_doc))
     return OK
 
@@ -474,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.add_argument("--max-morphisms", type=int, default=64)
+    p.add_argument("--max-morphisms", type=int)
 
     p = add("equiv", help="decide equivalence and emit a witness")
     p.add_argument("file")
@@ -482,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", required=True)
     p.add_argument("--brute-force", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-morphisms", type=int, default=64)
+    p.add_argument("--max-morphisms", type=int)
 
     p = add("functor-check", help="validate a functor")
     p.add_argument("file")

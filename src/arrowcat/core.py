@@ -277,6 +277,19 @@ class ObjlessCategory:
         """True iff the two identities have different composition profiles."""
         return self.composition_profile(ident1) != self.composition_profile(ident2)
 
+    def full_subcategory(self, identities: Iterable[str]) -> "ObjlessCategory":
+        """The full subcategory on some identities; valid as a restriction of valid data."""
+        keep = frozenset(identities)
+        for ident in keep:
+            self._require_identity(ident)
+        arrows = frozenset(m for m in self.morphisms if self.dom[m] in keep and self.cod[m] in keep)
+        table = {(g, f): r for (g, f), r in self.table.items() if g in arrows and f in arrows}
+        return ObjlessCategory(
+            morphisms=arrows, table=MappingProxyType(table), identities=keep,
+            dom=MappingProxyType({m: self.dom[m] for m in arrows}),
+            cod=MappingProxyType({m: self.cod[m] for m in arrows}),
+        )
+
     def opposite(self) -> "ObjlessCategory":
         """Reverse all compositions; domains and codomains swap."""
         t = {(b, a): r for (a, b), r in self.table.items()}

@@ -1,9 +1,13 @@
 """Isomorphisms, natural transformations, skeletons, and category equivalence.
 
-The equivalence decision goes through skeletons: each category is collapsed
-onto chosen representatives of its isomorphism classes, and the skeletons are
-compared by exact isomorphism search.  A direct exhaustive search over functor
-pairs and transformation components is kept as an independent oracle.
+An isomorphism of categories is a functor with a strict inverse, found by
+``_search.functor_search`` in its ``iso`` mode.  The equivalence decision
+goes through skeletons: each category is collapsed onto chosen
+representatives of its isomorphism classes, and the skeletons are compared
+by that isomorphism search.  An exhaustive search is kept as an independent
+oracle: it enumerates every functor pair with the same ``functor_search``,
+then every choice of transformation components.  It shares the search
+engine with the isomorphism search but nothing with the skeleton route.
 """
 from __future__ import annotations
 
@@ -13,9 +17,9 @@ from itertools import product
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from ._search import find_table_bijection
+from ._search import BRUTE_FORCE_CAP, DEFAULT_ISO_CAP, check_cap, find_table_bijection, functor_search
 from .core import ObjlessCategory
-from .errors import CapacityError, NameNotFoundError, WiringError
+from .errors import NameNotFoundError, WiringError
 from .functors import (
     FunctorMap,
     functor_compose,
@@ -30,9 +34,6 @@ from .report import (
     ValidationReport,
     violation,
 )
-
-DEFAULT_ISO_CAP = 64
-BRUTE_FORCE_CAP = 12
 
 
 class _UnionFind:
@@ -87,20 +88,22 @@ def find_category_isomorphism(
     max_morphisms: int = DEFAULT_ISO_CAP,
 ) -> FunctorMap | None:
     """A functor with a strict two-sided inverse, re-validated before return."""
-    for cat in (left, right):
-        if len(cat.morphisms) > max_morphisms:
-            raise CapacityError(f"{len(cat.morphisms)} morphisms exceeds cap of {max_morphisms}")
+    check_cap(max_morphisms, left, right)
     bijection = find_table_bijection(left, right)
     if bijection is None:
         return None
     forward = FunctorMap(source=left, target=right, mapping=bijection, name="iso")
-    backward = FunctorMap(
-        source=right, target=left,
-        mapping={v: k for k, v in bijection.items()},
-        name="iso_inverse",
-    )
-    assert validate_functor(forward).ok and validate_functor(backward).ok
+    assert validate_functor(forward).ok and validate_functor(_inverse(forward, "iso_inverse")).ok
     return forward
+
+
+def _inverse(functor: FunctorMap, name: str) -> FunctorMap:
+    """The inverse of a bijective functor, with the morphism map turned round."""
+    return FunctorMap(
+        source=functor.target, target=functor.source,
+        mapping={v: k for k, v in functor.mapping.items()},
+        name=name,
+    )
 
 
 @dataclass(frozen=True)
@@ -233,18 +236,11 @@ def skeleton(cat: ObjlessCategory, seed: int = 0) -> SkeletonResult:
         )
     from_rep = {ident: is_isomorphism(cat, f) for ident, f in to_rep.items()}
 
-    skel_morphisms = {
-        m for m in cat.morphisms if cat.dom[m] in reps and cat.cod[m] in reps
-    }
-    skel_table = {
-        pair: result for pair, result in cat.table.items()
-        if pair[0] in skel_morphisms and pair[1] in skel_morphisms
-    }
-    skel = ObjlessCategory.build(skel_morphisms, skel_table)
+    skel = cat.full_subcategory(reps)
 
     inclusion = FunctorMap(
         source=skel, target=cat,
-        mapping={m: m for m in skel_morphisms},
+        mapping={m: m for m in skel.morphisms},
         name="inclusion",
     )
     retraction_map = {}
@@ -282,7 +278,23 @@ class EquivalenceWitness:
     sigma: NatTransf
 
 
-def _check_witness(witness: EquivalenceWitness) -> None:
+def _equivalence_witness(
+    left: ObjlessCategory,
+    right: ObjlessCategory,
+    forward: Mapping[str, str],
+    backward: Mapping[str, str],
+    tau: Mapping[str, str],
+    sigma: Mapping[str, str],
+) -> EquivalenceWitness:
+    """The witness for morphism maps both ways and the components of tau and sigma, re-validated."""
+    fwd = FunctorMap(source=left, target=right, mapping=forward, name="forward")
+    bwd = FunctorMap(source=right, target=left, mapping=backward, name="backward")
+    witness = EquivalenceWitness(
+        forward=fwd,
+        backward=bwd,
+        tau=NatTransf(functor_identity(left), functor_compose(bwd, fwd), tau, name="tau"),
+        sigma=NatTransf(functor_identity(right), functor_compose(fwd, bwd), sigma, name="sigma"),
+    )
     assert validate_functor(witness.forward).ok
     assert validate_functor(witness.backward).ok
     for nat in (witness.tau, witness.sigma):
@@ -291,6 +303,7 @@ def _check_witness(witness: EquivalenceWitness) -> None:
     assert witness.tau.target == functor_compose(witness.backward, witness.forward)
     assert witness.sigma.source == functor_identity(witness.backward.source)
     assert witness.sigma.target == functor_compose(witness.forward, witness.backward)
+    return witness
 
 
 def are_equivalent(
@@ -306,91 +319,19 @@ def are_equivalent(
     literally equal the skeleton round trips and the skeleton witnesses serve
     as the natural isomorphisms.
     """
-    for cat in (left, right):
-        if len(cat.morphisms) > max_morphisms:
-            raise CapacityError(f"{len(cat.morphisms)} morphisms exceeds cap of {max_morphisms}")
+    check_cap(max_morphisms, left, right)
     skel_left = skeleton(left, seed=seed)
     skel_right = skeleton(right, seed=seed)
     iso = find_category_isomorphism(skel_left.skeleton, skel_right.skeleton, max_morphisms)
     if iso is None:
         return None
-    iso_inv = FunctorMap(
-        source=skel_right.skeleton,
-        target=skel_left.skeleton,
-        mapping={v: k for k, v in iso.mapping.items()},
-        name="iso_inverse",
-    )
     forward = functor_compose(skel_right.inclusion, functor_compose(iso, skel_left.retraction))
-    backward = functor_compose(skel_left.inclusion, functor_compose(iso_inv, skel_right.retraction))
-    forward = FunctorMap(forward.source, forward.target, forward.mapping, forward.variance, name="forward")
-    backward = FunctorMap(backward.source, backward.target, backward.mapping, backward.variance, name="backward")
-    tau = NatTransf(
-        source=functor_identity(left),
-        target=functor_compose(backward, forward),
-        components=skel_left.witness.components,
-        name="tau",
+    backward = functor_compose(
+        skel_left.inclusion, functor_compose(_inverse(iso, "iso_inverse"), skel_right.retraction))
+    return _equivalence_witness(
+        left, right, forward.mapping, backward.mapping,
+        skel_left.witness.components, skel_right.witness.components,
     )
-    sigma = NatTransf(
-        source=functor_identity(right),
-        target=functor_compose(forward, backward),
-        components=skel_right.witness.components,
-        name="sigma",
-    )
-    witness = EquivalenceWitness(forward=forward, backward=backward, tau=tau, sigma=sigma)
-    _check_witness(witness)
-    return witness
-
-
-def _all_functors(src: ObjlessCategory, dst: ObjlessCategory) -> list[dict[str, str]]:
-    """Every covariant functor src -> dst, as a plain morphism map."""
-    src_ids = sorted(src.identities)
-    dst_ids = sorted(dst.identities)
-    src_homs: dict[tuple[str, str], list[str]] = {}
-    for m in sorted(src.morphisms):
-        src_homs.setdefault((src.dom[m], src.cod[m]), []).append(m)
-    dst_homs: dict[tuple[str, str], list[str]] = {}
-    for m in sorted(dst.morphisms):
-        dst_homs.setdefault((dst.dom[m], dst.cod[m]), []).append(m)
-
-    results: list[dict[str, str]] = []
-    non_ids = sorted(m for m in src.morphisms if m not in src.identities)
-
-    def extend(mapping: dict[str, str], idx: int) -> None:
-        if idx == len(non_ids):
-            if all(
-                dst.table.get((mapping[b], mapping[a])) == mapping[r]
-                for (b, a), r in src.table.items()
-            ):
-                results.append(dict(mapping))
-            return
-        m = non_ids[idx]
-        for candidate in dst_homs.get((mapping[src.dom[m]], mapping[src.cod[m]]), ()):
-            mapping[m] = candidate
-            ok = True
-            for w in list(mapping):
-                for p, q in ((m, w), (w, m)):
-                    r = src.table.get((p, q))
-                    if r is None:
-                        continue
-                    image = dst.table.get((mapping[p], mapping[q]))
-                    if image is None or (r in mapping and image != mapping[r]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                extend(mapping, idx + 1)
-            del mapping[m]
-
-    for object_map in product(dst_ids, repeat=len(src_ids)):
-        assignment = dict(zip(src_ids, object_map))
-        if any(
-            src_homs.get((a, b)) and not dst_homs.get((assignment[a], assignment[b]))
-            for a in src_ids for b in src_ids
-        ):
-            continue
-        extend({i: assignment[i] for i in src_ids}, 0)
-    return results
 
 
 def _iso_arrows(cat: ObjlessCategory, src: str, dst: str) -> list[str]:
@@ -425,16 +366,13 @@ def brute_force_equivalence(
 ) -> EquivalenceWitness | None:
     """Exhaustive search for the equivalence data, independent of the skeleton route.
 
-    Enumerates every functor pair (F, G) and every choice of isomorphism
-    components for Id = G.F and Id = F.G, checking naturality directly on the
-    tables.
+    Enumerates every functor pair (F, G) with ``functor_search`` and every
+    choice of isomorphism components for Id = G.F and Id = F.G, checking
+    naturality directly on the tables.
     """
-    for cat in (left, right):
-        if len(cat.morphisms) > max_morphisms:
-            raise CapacityError(f"{len(cat.morphisms)} morphisms exceeds cap of {max_morphisms}")
-    functors_fwd = _all_functors(left, right)
-    functors_bwd = _all_functors(right, left)
-    for fwd in functors_fwd:
+    check_cap(max_morphisms, left, right)
+    functors_bwd = list(functor_search(right, left))
+    for fwd in functor_search(left, right):
         for bwd in functors_bwd:
             gf = {m: bwd[fwd[m]] for m in left.morphisms}
             fg = {m: fwd[bwd[m]] for m in right.morphisms}
@@ -444,21 +382,5 @@ def brute_force_equivalence(
             sigma_components = _find_nat_iso(right, fg)
             if sigma_components is None:
                 continue
-            forward = FunctorMap(source=left, target=right, mapping=fwd, name="forward")
-            backward = FunctorMap(source=right, target=left, mapping=bwd, name="backward")
-            tau = NatTransf(
-                source=functor_identity(left),
-                target=functor_compose(backward, forward),
-                components=tau_components,
-                name="tau",
-            )
-            sigma = NatTransf(
-                source=functor_identity(right),
-                target=functor_compose(forward, backward),
-                components=sigma_components,
-                name="sigma",
-            )
-            witness = EquivalenceWitness(forward=forward, backward=backward, tau=tau, sigma=sigma)
-            _check_witness(witness)
-            return witness
+            return _equivalence_witness(left, right, fwd, bwd, tau_components, sigma_components)
     return None

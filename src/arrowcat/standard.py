@@ -11,9 +11,9 @@ from itertools import product
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from ._search import find_table_bijection
+from ._search import DEFAULT_ISO_CAP, check_cap, find_table_bijection
 from .core import ObjlessCategory, TableLike, _entries, check_names
-from .errors import CapacityError, InvalidCategoryError
+from .errors import InvalidCategoryError
 from .report import (
     ASSOCIATIVITY_EQUAL,
     ASSOCIATIVITY_EXISTENCE,
@@ -203,12 +203,10 @@ def to_standard(cat: ObjlessCategory) -> StdCategory:
 def equal_up_to_renaming(
     left: StdCategory,
     right: StdCategory,
-    max_morphisms: int = 64,
+    max_morphisms: int = DEFAULT_ISO_CAP,
 ) -> tuple[dict[str, str], dict[str, str]] | None:
     """A pair (object bijection, arrow bijection) transporting left onto right, or None."""
-    for cat in (left, right):
-        if len(cat.arrows) > max_morphisms:
-            raise CapacityError(f"{len(cat.arrows)} arrows exceeds cap of {max_morphisms}")
+    check_cap(max_morphisms, left.arrows, right.arrows)
     obj_less_left = to_objectless(left)
     obj_less_right = to_objectless(right)
     arrow_map = find_table_bijection(obj_less_left, obj_less_right)

@@ -5,10 +5,13 @@ no shortcuts, so the library code they check never computes them the same way.
 """
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from arrowcat import fixtures as fx
 from arrowcat.core import ObjlessCategory
+from arrowcat.functors import FunctorMap, validate_functor
 from arrowcat.generators import gen_random
 
 
@@ -52,6 +55,17 @@ def brute_iso_related(cat: ObjlessCategory, a: str, b: str) -> bool:
         if cat.dom[f] == a and cat.cod[f] == b and brute_inverses(cat, f):
             return True
     return False
+
+
+def brute_functors(src: ObjlessCategory, dst: ObjlessCategory) -> list[dict[str, str]]:
+    """Every functor src -> dst: each morphism map at all, kept when it validates."""
+    names = sorted(src.morphisms)
+    found = []
+    for images in product(sorted(dst.morphisms), repeat=len(names)):
+        mapping = dict(zip(names, images))
+        if validate_functor(FunctorMap(source=src, target=dst, mapping=mapping)).ok:
+            found.append(mapping)
+    return found
 
 
 def random_pool(count: int, max_morphisms: int, offset: int = 0) -> list[ObjlessCategory]:

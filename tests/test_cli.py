@@ -97,6 +97,17 @@ def test_equiv_brute_force_flag(capsys):
     assert code == 0 and record["method"] == "brute-force"
 
 
+def test_max_morphisms_caps_both_equiv_routes(capsys):
+    path = str(FIXTURES / "walking_iso_and_one.cat")
+    for extra in ((), ("--brute-force",)):
+        code, out, err = run(capsys, "equiv", path, "--left", "WalkingIso", "--right", "One",
+                             "--max-morphisms", "2", *extra)
+        assert (code, out, err) == (2, "", "4 morphisms exceeds cap of 2\n")
+    code, _, _ = run(capsys, "equiv", path, "--left", "WalkingIso", "--right", "One",
+                     "--max-morphisms", "4", "--brute-force")
+    assert code == 0
+
+
 def test_equiv_failure_exit_1(capsys, tmp_path):
     doc = tmp_path / "pair.cat"
     doc.write_text(

@@ -18,7 +18,8 @@ from arrowcat.equivalence import (
     skeleton,
     validate_nat,
 )
-from arrowcat.errors import CapacityError
+from arrowcat.core import ObjlessCategory
+from arrowcat.errors import CapacityError, NameNotFoundError, NotAnIdentityError
 from arrowcat.functors import FunctorMap, functor_identity, validate_functor
 from arrowcat.generators import gen_random
 
@@ -220,6 +221,31 @@ def test_skeleton_fixed_point(cat):
     assert is_skeletal(result.skeleton)
     again = skeleton(result.skeleton, seed=1)
     assert again.skeleton == result.skeleton
+
+
+def _full_subcategory_by_build(cat, identities):
+    morphisms = {m for m in cat.morphisms if cat.dom[m] in identities and cat.cod[m] in identities}
+    table = {pair: r for pair, r in cat.table.items() if set(pair) <= morphisms}
+    return ObjlessCategory.build(morphisms, table)
+
+
+@pytest.mark.parametrize("cat", [
+    *fx.fixture_pool().values(),
+    *(gen_random(seed, 24) for seed in range(40)),
+])
+def test_full_subcategory_equals_build_on_skeleton_representatives(cat):
+    for seed in range(3):
+        reps = set(skeleton(cat, seed=seed).representatives.values())
+        sub = cat.full_subcategory(reps)
+        assert sub == _full_subcategory_by_build(cat, reps)
+        assert hash(sub) == hash(_full_subcategory_by_build(cat, reps))
+
+
+def test_full_subcategory_rejects_a_non_identity():
+    with pytest.raises(NotAnIdentityError):
+        fx.walking_iso().full_subcategory({"ia", "f"})
+    with pytest.raises(NameNotFoundError):
+        fx.walking_iso().full_subcategory({"nowhere"})
 
 
 def test_skeleton_deterministic_per_seed():
