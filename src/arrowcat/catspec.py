@@ -19,7 +19,7 @@ from .errors import ArrowCatError, InvalidCategoryError, NameNotFoundError
 from .functors import CONTRAVARIANT, COVARIANT, FunctorMap
 from .equivalence import NatTransf
 from .report import ValidationReport
-from .standard import StdCategory, to_objectless, validate_standard
+from .standard import StdCategory, to_objectless
 
 # Diagnostic kinds.
 LEX = "lex"
@@ -129,11 +129,8 @@ class CatspecDocument:
         return decl
 
     def category_report(self, name: str) -> ValidationReport:
-        decl = self._category_decl(name)
-        if isinstance(decl, StandardDecl):
-            return validate_standard(decl.std)
         try:
-            decl.objectless  # the one build validates; a failure carries the validator's report
+            self._category_decl(name).objectless  # the one build validates; a failure carries its report
         except InvalidCategoryError as exc:
             return exc.report
         return ValidationReport.from_violations(())

@@ -30,16 +30,7 @@ from .equivalence import (
     skeleton,
     validate_nat,
 )
-from .errors import (
-    ArrowCatError,
-    CapacityError,
-    GeneratorError,
-    InapplicableScopeError,
-    InvalidCategoryError,
-    NameNotFoundError,
-    NotMonotoneError,
-    WiringError,
-)
+from .errors import ArrowCatError, InvalidCategoryError, WiringError
 from .functors import validate_functor
 from .generators import (
     Poset,
@@ -96,14 +87,18 @@ def _report_payload(report) -> list[dict]:
     ]
 
 
+def _entity(kind: str, name: str, report) -> dict:
+    return {"kind": kind, "name": name, "ok": report.ok,
+            "violations": _report_payload(report), "total": report.total}
+
+
 def _cmd_check(args, out: _Output) -> int:
     doc = _read_document(args.file)
     entities = []
     ok = True
     for name in sorted(doc.categories):
         report = doc.category_report(name)
-        entities.append({"kind": "category", "name": name, "ok": report.ok,
-                         "violations": _report_payload(report)})
+        entities.append(_entity("category", name, report))
         ok &= report.ok
         out.say(f"{'ok' if report.ok else 'INVALID'}: category {name}")
         for line in ([] if report.ok else report.lines()):
@@ -118,8 +113,7 @@ def _cmd_check(args, out: _Output) -> int:
             out.say(f"skipped: functor {name} (source or target category invalid)")
             ok = False
             continue
-        entities.append({"kind": "functor", "name": name, "ok": report.ok,
-                         "violations": _report_payload(report)})
+        entities.append(_entity("functor", name, report))
         ok &= report.ok
         out.say(f"{'ok' if report.ok else 'INVALID'}: functor {name}: {decl.source} -> {decl.target}")
         for line in ([] if report.ok else report.lines()):
@@ -133,8 +127,7 @@ def _cmd_check(args, out: _Output) -> int:
             out.say(f"skipped: nat {name} ({exc})")
             ok = False
             continue
-        entities.append({"kind": "nat", "name": name, "ok": report.ok,
-                         "violations": _report_payload(report)})
+        entities.append(_entity("nat", name, report))
         ok &= report.ok
         out.say(f"{'ok' if report.ok else 'INVALID'}: nat {name}")
         for line in ([] if report.ok else report.lines()):
@@ -564,14 +557,7 @@ def main(argv: list[str] | None = None) -> int:
         for line in exc.report.lines():
             print(f"  {line}", file=sys.stderr)
         return FAIL
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        print(exc, file=sys.stderr)
-        return USAGE
-    except (NameNotFoundError, CapacityError, WiringError, InapplicableScopeError,
-            GeneratorError, NotMonotoneError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return USAGE
-    except ArrowCatError as exc:
+    except (OSError, ValueError, ArrowCatError) as exc:
         print(exc, file=sys.stderr)
         return USAGE
     out.record["exit"] = code

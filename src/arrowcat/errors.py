@@ -31,7 +31,7 @@ class InvalidCategoryError(ArrowCatError):
     def __init__(self, report):
         self.report = report
         first = report.violations[0].message if report.violations else "unknown violation"
-        extra = len(report.violations) - 1
+        extra = report.total - 1
         suffix = f" (+{extra} more)" if extra > 0 else ""
         super().__init__(f"invalid category: {first}{suffix}")
 

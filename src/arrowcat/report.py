@@ -31,15 +31,19 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of a validator: ``ok`` iff ``violations`` is empty."""
+    """Outcome of a validator: ``ok`` iff ``total`` is zero.
+
+    ``violations`` keeps the first ``MAX_VIOLATIONS`` of the ``total`` found.
+    """
 
     ok: bool
     violations: tuple[Violation, ...]
+    total: int
 
     @classmethod
     def from_violations(cls, violations: Iterable[Violation]) -> "ValidationReport":
-        bounded = tuple(violations)[:MAX_VIOLATIONS]
-        return cls(ok=not bounded, violations=bounded)
+        found = tuple(violations)
+        return cls(ok=not found, violations=found[:MAX_VIOLATIONS], total=len(found))
 
     def kinds(self) -> set[str]:
         return {v.kind for v in self.violations}
@@ -47,10 +51,14 @@ class ValidationReport:
     def lines(self) -> list[str]:
         if self.ok:
             return ["ok"]
-        return [
+        lines = [
             f"violation[{v.kind}] witnesses=({', '.join(v.witnesses)}): {v.message}"
             for v in self.violations
         ]
+        hidden = self.total - len(self.violations)
+        if hidden:
+            lines.append(f"... {hidden} more violations not shown ({self.total} in all)")
+        return lines
 
 
 def violation(kind: str, witnesses: Iterable[str], message: str) -> Violation:

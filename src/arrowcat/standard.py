@@ -3,6 +3,9 @@
 The two presentations carry the same information: converting a standard
 category to arrow-only form forgets the object names (identity arrows take
 their place), and converting back reads every object off its identity.
+
+Validation is split the same way: this module checks only what the
+presentation adds and hands the axioms to the arrow-only kernel.
 """
 from __future__ import annotations
 
@@ -12,17 +15,16 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from ._search import DEFAULT_ISO_CAP, check_cap, find_table_bijection
-from .core import ObjlessCategory, TableLike, _entries, check_names
+from .core import MAX_MORPHISMS, ObjlessCategory, check_names, validate_objectless
 from .errors import InvalidCategoryError
 from .report import (
-    ASSOCIATIVITY_EQUAL,
-    ASSOCIATIVITY_EXISTENCE,
-    FUNCTIONALITY,
     IDENTITY_MISSING,
     IDENTITY_NONNEUTRAL,
     NAME_NOT_FOUND,
+    TOTALITY,
     TYPING,
     ValidationReport,
+    Violation,
     violation,
 )
 
@@ -63,48 +65,33 @@ class StdCategory:
         ))
 
 
-def validate_standard(cat: StdCategory, raw_table: TableLike | None = None) -> ValidationReport:
-    """Check typing, totality of composition, associativity, and identity neutrality.
-
-    ``raw_table`` may carry (after, before, result) triples when conflicting
-    duplicate entries should be detected; the mapping in ``cat`` cannot hold them.
-    """
+def _presentation_violations(cat: StdCategory) -> list[Violation]:
+    """What the presentation adds to the axioms: names, typing of table entries,
+    totality on composable pairs, declared identities typed ``B -> B`` and neutral."""
     check_names(cat.objects)
     check_names(cat.arrows)
+    check_cap(MAX_MORPHISMS, cat.arrows)
+    arrows = cat.arrows
     violations = []
 
-    for name, (dom, cod) in sorted(cat.arrows.items()):
+    for name, (dom, cod) in sorted(arrows.items()):
         for obj in (dom, cod):
             if obj not in cat.objects:
                 violations.append(violation(
                     NAME_NOT_FOUND, (name, obj), f"arrow {name} references unknown object {obj}",
                 ))
 
-    if raw_table is not None:
-        seen: dict[tuple[str, str], str] = {}
-        for after, before, result in _entries(raw_table):
-            prior = seen.get((after, before))
-            if prior is not None and prior != result:
-                violations.append(violation(
-                    FUNCTIONALITY, (after, before, result),
-                    f"pair ({after}, {before}) maps to both {prior} and {result}",
-                ))
-            seen[(after, before)] = result
-
     unknown = set()
     for (after, before), result in cat.table.items():
-        unknown.update(part for part in (after, before, result) if part not in cat.arrows)
+        unknown.update(part for part in (after, before, result) if part not in arrows)
     for name in sorted(unknown):
         violations.append(violation(
             NAME_NOT_FOUND, (name,), f"table references unknown arrow {name}",
         ))
 
-    def typed(name: str) -> tuple[str, str] | None:
-        return cat.arrows.get(name)
-
     # Table entries must be composable pairs with well-typed results.
     for (after, before), result in sorted(cat.table.items()):
-        ta, tb, tr = typed(after), typed(before), typed(result)
+        ta, tb, tr = arrows.get(after), arrows.get(before), arrows.get(result)
         if ta is None or tb is None or tr is None:
             continue
         if tb[1] != ta[0]:
@@ -118,32 +105,19 @@ def validate_standard(cat: StdCategory, raw_table: TableLike | None = None) -> V
             ))
 
     # Composition must be total on composable pairs.
-    for after, before in product(sorted(cat.arrows), repeat=2):
-        ta, tb = typed(after), typed(before)
-        if ta is None or tb is None or tb[1] != ta[0]:
-            continue
-        if (after, before) not in cat.table:
+    for after, before in product(sorted(arrows), repeat=2):
+        if arrows[before][1] == arrows[after][0] and (after, before) not in cat.table:
             violations.append(violation(
-                ASSOCIATIVITY_EXISTENCE, (after, before),
+                TOTALITY, (after, before),
                 f"composition not defined on composable pair ({after}, {before})",
             ))
 
-    # Associativity on composable triples, where all entries are present.
-    after_of: dict[str, list[str]] = {}
-    for (g, b) in cat.table:
-        after_of.setdefault(b, []).append(g)
-    for (b, a), ba in cat.table.items():
-        for g in after_of.get(b, ()):
-            gb = cat.table[(g, b)]
-            left = cat.table.get((g, ba))
-            right = cat.table.get((gb, a))
-            if left is not None and right is not None and left != right:
-                violations.append(violation(
-                    ASSOCIATIVITY_EQUAL, (g, b, a),
-                    f"{g}.({b}.{a}) = {left} but ({g}.{b}).{a} = {right}",
-                ))
-
-    # Identity arrows: present, typed B -> B, neutral wherever composed.
+    # Identity arrows: declared for known objects, present, typed B -> B,
+    # neutral wherever composed.
+    for obj in sorted(set(cat.id_of) - cat.objects):
+        violations.append(violation(
+            NAME_NOT_FOUND, (obj,), f"identity declared for unknown object {obj}",
+        ))
     for obj in sorted(cat.objects):
         ident = cat.id_of.get(obj)
         if ident is None:
@@ -151,7 +125,7 @@ def validate_standard(cat: StdCategory, raw_table: TableLike | None = None) -> V
                 IDENTITY_MISSING, (obj,), f"object {obj} has no identity arrow",
             ))
             continue
-        t = typed(ident)
+        t = arrows.get(ident)
         if t is None:
             violations.append(violation(
                 NAME_NOT_FOUND, (ident,), f"identity of {obj} names unknown arrow {ident}",
@@ -162,7 +136,7 @@ def validate_standard(cat: StdCategory, raw_table: TableLike | None = None) -> V
                 TYPING, (ident, obj), f"identity arrow {ident} of {obj} is not typed {obj} -> {obj}",
             ))
             continue
-        for name, (dom, cod) in sorted(cat.arrows.items()):
+        for name, (dom, cod) in sorted(arrows.items()):
             if dom == obj:
                 got = cat.table.get((name, ident))
                 if got is not None and got != name:
@@ -176,15 +150,26 @@ def validate_standard(cat: StdCategory, raw_table: TableLike | None = None) -> V
                         IDENTITY_NONNEUTRAL, (ident, name), f"{ident}.{name} = {got}, expected {name}",
                     ))
 
-    return ValidationReport.from_violations(violations)
+    return violations
+
+
+def validate_standard(cat: StdCategory) -> ValidationReport:
+    """The report of :func:`to_objectless`: the presentation's violations, or, once
+    there are none, the kernel's report on the axioms.  CapacityError above the cap."""
+    violations = _presentation_violations(cat)
+    if violations:
+        return ValidationReport.from_violations(violations)
+    return validate_objectless(cat.arrows, cat.table)
 
 
 def to_objectless(cat: StdCategory) -> ObjlessCategory:
     """Forget the objects: morphisms and table carry over unchanged."""
-    report = validate_standard(cat)
-    if not report.ok:
-        raise InvalidCategoryError(report)
+    violations = _presentation_violations(cat)
+    if violations:
+        raise InvalidCategoryError(ValidationReport.from_violations(violations))
     result = ObjlessCategory.build(cat.arrows.keys(), cat.table)
+    # On typed, total data with neutral declared identities, the kernel
+    # infers exactly the declared identities.
     assert result.identities == frozenset(cat.id_of.values())
     return result
 

@@ -68,6 +68,41 @@ def brute_functors(src: ObjlessCategory, dst: ObjlessCategory) -> list[dict[str,
     return found
 
 
+def brute_standard_ok(std) -> bool:
+    """A standard-form category is valid: typing, totality, neutral declared
+    identities and associativity over every composable triple, by direct scan."""
+    arrows, table = std.arrows, std.table
+    if any(obj not in std.objects for pair in arrows.values() for obj in pair):
+        return False
+    for (g, f), r in table.items():
+        if g not in arrows or f not in arrows or r not in arrows:
+            return False
+        if arrows[f][1] != arrows[g][0] or arrows[r] != (arrows[f][0], arrows[g][1]):
+            return False
+    for g in arrows:
+        for f in arrows:
+            if arrows[f][1] == arrows[g][0] and (g, f) not in table:
+                return False
+    if set(std.id_of) != set(std.objects):
+        return False
+    for obj, ident in std.id_of.items():
+        if arrows.get(ident) != (obj, obj):
+            return False
+        for m in arrows:
+            if arrows[m][0] == obj and table[(m, ident)] != m:
+                return False
+            if arrows[m][1] == obj and table[(ident, m)] != m:
+                return False
+    for h in arrows:
+        for g in arrows:
+            if arrows[g][1] != arrows[h][0]:
+                continue
+            for f in arrows:
+                if arrows[f][1] == arrows[g][0] and table[(h, table[(g, f)])] != table[(table[(h, g)], f)]:
+                    return False
+    return True
+
+
 def random_pool(count: int, max_morphisms: int, offset: int = 0) -> list[ObjlessCategory]:
     return [gen_random(seed, max_morphisms) for seed in range(offset, offset + count)]
 

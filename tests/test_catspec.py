@@ -254,6 +254,13 @@ def test_check_validates_the_category_once(tmp_path, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_check_validates_a_standard_category_once(monkeypatch, capsys):
+    calls = _count_validations(monkeypatch)
+    assert main(["check", str(FIXTURES / "twochain.cat")]) == 0
+    assert capsys.readouterr().out.splitlines() == ["ok: category TwoChain", "ok: category TwoChainStd"]
+    assert len(calls) == 2
+
+
 def test_objectless_is_built_once_per_declaration(tmp_path):
     doc = parse(_chain_file(tmp_path).read_text(encoding="utf-8"))
     first = doc.objectless("C")
@@ -305,6 +312,13 @@ def test_gen_monoid_rejects_non_associative():
         ("a", "a"): "b", ("a", "b"): "b", ("b", "a"): "b", ("b", "b"): "a",
     }
     with pytest.raises(GeneratorError):
+        gen_monoid(table)
+
+
+def test_gen_monoid_rejects_a_semigroup_without_identity():
+    # The left-zero semigroup x.y = x is total and associative but has no unit.
+    table = {(x, y): x for x in "ab" for y in "ab"}
+    with pytest.raises(GeneratorError, match="identity-missing"):
         gen_monoid(table)
 
 

@@ -38,6 +38,25 @@ def test_check_json_record(capsys):
     assert ("category", "P") in kinds and ("nat", "eps") in kinds
 
 
+def test_check_json_counts_truncated_violations(capsys, tmp_path):
+    many = tmp_path / "many.cat"
+    many.write_text("objless A {\n  arrows: %s;\n}\n" % ", ".join(f"m{i}" for i in range(300)))
+    code, out, _ = run(capsys, "check", str(many), "--json")
+    assert code == 1
+    (entity,) = json.loads(out)["entities"]
+    assert entity["total"] == 600 and len(entity["violations"]) == 100
+
+
+def test_unreadable_file_exit_2(capsys, monkeypatch):
+    def denied(self, *args, **kwargs):
+        raise PermissionError(f"permission denied: {self}")
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    code, _, err = run(capsys, "check", str(FIXTURES / "twochain.cat"))
+    assert code == 2
+    assert "permission denied" in err
+
+
 def test_parse_error_exit_2(capsys, tmp_path):
     bad = tmp_path / "syntax.cat"
     bad.write_text("objless A {\n  arrows x;\n}\n")

@@ -17,6 +17,7 @@ from arrowcat.errors import (
     NotAnIdentityError,
 )
 from arrowcat.generators import gen_random
+from arrowcat.report import MAX_VIOLATIONS
 
 from conftest import brute_identities, brute_neutral
 
@@ -49,6 +50,16 @@ def test_functionality_violation_from_conflicting_triples():
     triples = [("e", "e", "e"), ("e", "e", "s"), ("s", "s", "e"), ("e", "s", "s"), ("s", "e", "s")]
     report = validate_objectless(["e", "s"], triples)
     assert any(v.kind == "functionality" for v in report.violations)
+
+
+def test_truncated_report_keeps_the_true_total():
+    names = [f"m{i}" for i in range(300)]
+    report = validate_objectless(names, {})
+    assert not report.ok
+    assert (report.total, len(report.violations)) == (600, MAX_VIOLATIONS)
+    assert report.lines()[-1] == "... 500 more violations not shown (600 in all)"
+    with pytest.raises(InvalidCategoryError, match=r"\(\+599 more\)$"):
+        ObjlessCategory.build(names, {})
 
 
 def test_associativity_inequality_reported():

@@ -5,15 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arrowcat import fixtures as fx
-from arrowcat.errors import CapacityError
+from arrowcat.core import MAX_MORPHISMS, validate_objectless
+from arrowcat.errors import CapacityError, InvalidCategoryError
 from arrowcat.generators import gen_random
 from arrowcat.standard import (
     StdCategory,
+    _presentation_violations,
     equal_up_to_renaming,
     to_objectless,
     to_standard,
     validate_standard,
 )
+
+from conftest import brute_standard_ok
 
 random_categories = st.integers(min_value=0, max_value=10_000).map(
     lambda seed: gen_random(seed, 16)
@@ -40,7 +44,7 @@ def test_missing_composable_entry_reported():
     report = validate_standard(std)
     assert not report.ok
     assert any(
-        v.kind == "associativity-existence" and "composable pair" in v.message
+        v.kind == "totality" and "composable pair" in v.message
         for v in report.violations
     )
 
@@ -55,6 +59,51 @@ def test_illtyped_entry_reported():
     std = _set_entry(fx.two_chain_std(), ("a", "id_B"), "a")
     report = validate_standard(std)
     assert any(v.kind == "typing" for v in report.violations)
+
+
+def _single_entry_edits(std: StdCategory):
+    """Every table with one entry deleted or its result changed to another arrow."""
+    for key, result in sorted(std.table.items()):
+        yield _drop_entry(std, key)
+        for other in sorted(std.arrows):
+            if other != result:
+                yield _set_entry(std, key, other)
+
+
+def test_single_entry_edits_match_the_oracle():
+    rejected_by_kernel = 0
+    for make_std in (fx.two_chain_std, fx.finset2_std, fx.finset_dup_std):
+        valid = make_std()
+        for std in (valid, *_single_entry_edits(valid)):
+            report = validate_standard(std)
+            assert report.ok == brute_standard_ok(std)
+            try:
+                to_objectless(std)
+            except InvalidCategoryError as exc:
+                assert not report.ok and exc.report == report
+            else:
+                assert report.ok
+            if not _presentation_violations(std):
+                rejected_by_kernel += not report.ok
+                assert report == validate_objectless(std.arrows, std.table)
+    # Some edits pass the presentation checks and fail only the axioms.
+    assert rejected_by_kernel > 0
+
+
+def test_identity_of_unknown_object_reported():
+    std = fx.two_chain_std()
+    std = StdCategory.make(std.objects, std.arrows, std.table, {**std.id_of, "Z": "a"})
+    report = validate_standard(std)
+    assert [v.kind for v in report.violations] == ["name-not-found"]
+    with pytest.raises(InvalidCategoryError):
+        to_objectless(std)
+
+
+def test_validate_standard_capacity():
+    names = [f"x{i}" for i in range(MAX_MORPHISMS + 1)]
+    std = StdCategory.make(["A"], {m: ("A", "A") for m in names}, {}, {"A": "x0"})
+    with pytest.raises(CapacityError):
+        validate_standard(std)
 
 
 def test_to_objectless_two_chain():
