@@ -57,8 +57,26 @@ class CatspecError(ArrowCatError):
         super().__init__("\n".join(str(d) for d in self.diagnostics))
 
 
+class _BuiltOnce:
+    """A category declaration built at most once; a failed build is kept and raised again."""
+
+    @cached_property
+    def _built(self) -> ObjlessCategory | InvalidCategoryError:
+        try:
+            return self._build()
+        except InvalidCategoryError as exc:
+            return exc.with_traceback(None)
+
+    @property
+    def objectless(self) -> ObjlessCategory:
+        """The validated arrow-only view, built once per declaration."""
+        if isinstance(self._built, InvalidCategoryError):
+            raise self._built.with_traceback(None)
+        return self._built
+
+
 @dataclass(frozen=True)
-class ObjlessDecl:
+class ObjlessDecl(_BuiltOnce):
     name: str
     morphisms: tuple[str, ...]
     table: Mapping[tuple[str, str], str]
@@ -67,20 +85,16 @@ class ObjlessDecl:
         object.__setattr__(self, "morphisms", tuple(sorted(self.morphisms)))
         object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
 
-    @cached_property
-    def objectless(self) -> ObjlessCategory:
-        """The validated category, built once per declaration."""
+    def _build(self) -> ObjlessCategory:
         return ObjlessCategory.build(self.morphisms, self.table)
 
 
 @dataclass(frozen=True)
-class StandardDecl:
+class StandardDecl(_BuiltOnce):
     name: str
     std: StdCategory
 
-    @cached_property
-    def objectless(self) -> ObjlessCategory:
-        """The validated arrow-only view, built once per declaration."""
+    def _build(self) -> ObjlessCategory:
         return to_objectless(self.std)
 
 

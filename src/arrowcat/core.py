@@ -11,8 +11,9 @@ left.
 from __future__ import annotations
 
 import re
-from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -73,107 +74,132 @@ def neutral_morphisms(morphisms: Iterable[str], table: Mapping[tuple[str, str], 
     return set(morphisms) - non_neutral
 
 
+class _Table(dict):
+    """A table read once, first result per pair kept: ``rows[g] = {b: g.b}``, ``cols[b] = {g: g.b}``."""
+
+    def __init__(self, morphisms: Iterable[str], table: TableLike):
+        self.names = names = frozenset(morphisms)
+        check_names(names)
+        if len(names) > MAX_MORPHISMS:
+            raise CapacityError(f"{len(names)} morphisms exceeds cap of {MAX_MORPHISMS}")
+        entries = None if isinstance(table, Mapping) else [tuple(entry) for entry in table]
+        if entries is None:
+            self.update(table)  # a mapping holds no conflicting duplicates
+            declared = names.issuperset(chain.from_iterable(self)) and names.issuperset(self.values())
+        else:
+            declared = names.issuperset(chain.from_iterable(entries))
+        if not declared:
+            for after, before, result in _entries(self) if entries is None else entries:
+                for name in (after, before, result):
+                    if name not in names:
+                        raise NameNotFoundError(f"table references undeclared morphism {name!r}")
+        self.conflicts = []
+        for after, before, result in entries or ():
+            prior = self.get((after, before))
+            if prior is not None and prior != result:
+                self.conflicts.append(violation(
+                    FUNCTIONALITY, (after, before, result),
+                    f"pair ({after}, {before}) maps to both {prior} and {result}",
+                ))
+            else:
+                self[(after, before)] = result
+        self.rows = rows = {m: {} for m in names}
+        self.cols = cols = {m: {} for m in names}
+        for (g, b), gb in self.items():
+            rows[g][b] = gb
+            cols[b][g] = gb
+        self.neutral = neutral_morphisms(names, self)
+
+
+def _shared_keys(maps: Mapping[str, dict]) -> dict[str, frozenset[str]]:
+    """Each map's key set, with equal sets shared as one object."""
+    shared: dict[frozenset[str], frozenset[str]] = {}
+    return {m: shared.setdefault(keys, keys) for m, keys in ((m, frozenset(d)) for m, d in maps.items())}
+
+
 def validate_objectless(morphisms: Iterable[str], table: TableLike) -> ValidationReport:
     """Check the associativity and identity-existence axioms on raw data.
 
     Returns a total report: all violations are collected (bounded), nothing
     raises on axiom failure.  Undeclared or malformed names are programming
     errors and raise instead of being reported.
+
+    Column at once: the table is read once into ``rows[b] = {a: b.a}`` and ``cols[b] =
+    {g: g.b}``.  For each entry ``b.a = ba``, ``g.(ba)`` and ``(g.b).a`` for every ``g`` in
+    ``cols[b]`` are two C-level ``itemgetter`` lookups, into ``cols[ba]`` and ``cols[a]``.
+    The partial-existence parts are the inclusions ``cols[ba] <= cols[b]`` and ``rows[gb]
+    <= rows[b]``, one ``is`` test on shared key sets when they hold.  Only the entries of
+    a morphism that fails are walked ``g`` by ``g``, in table order, to report violations.
     """
-    names = frozenset(morphisms)
-    check_names(names)
-    if len(names) > MAX_MORPHISMS:
-        raise CapacityError(f"{len(names)} morphisms exceeds cap of {MAX_MORPHISMS}")
-    entries = _entries(table)
-    for after, before, result in entries:
-        for name in (after, before, result):
-            if name not in names:
-                raise NameNotFoundError(f"table references undeclared morphism {name!r}")
+    t = table if isinstance(table, _Table) else _Table(morphisms, table)
+    rows, cols = t.rows, t.cols
+    col_keys, row_keys = _shared_keys(cols), _shared_keys(rows)
+    # Fast pass per morphism m; key sets are compared first, so no lookup can miss.
+    failing = set()
+    for m, row in rows.items():
+        col = cols[m]
+        if not (
+            list(map(col_keys.__getitem__, row.values())) == [col_keys[m]] * len(row)
+            and list(map(row_keys.__getitem__, col.values())) == [row_keys[m]] * len(col)
+            and (not col or list(map(itemgetter(*col), map(cols.__getitem__, row.values())))
+                 == list(map(itemgetter(*col.values()), map(cols.__getitem__, row))))
+        ):
+            failing.add(m)
 
-    violations = []
-
-    # Functionality: no pair may map to two different results.
-    t: dict[tuple[str, str], str] = {}
-    for after, before, result in entries:
-        prior = t.get((after, before))
-        if prior is not None and prior != result:
-            violations.append(violation(
-                FUNCTIONALITY, (after, before, result),
-                f"pair ({after}, {before}) maps to both {prior} and {result}",
-            ))
-        else:
-            t[(after, before)] = result
-
-    # after_of[b] = all g with (g, b) defined; before_of[b] = all a with (b, a) defined.
-    after_of: dict[str, list[str]] = defaultdict(list)
-    before_of: dict[str, list[str]] = defaultdict(list)
-    for (g, b) in t:
-        after_of[b].append(g)
-        before_of[g].append(b)
-
-    # Associativity, equality part: whenever b.a and g.b are defined,
-    # g.(b.a) and (g.b).a must be defined and equal.
-    for (b, a), ba in t.items():
-        for g in after_of[b]:
-            gb = t[(g, b)]
-            left = t.get((g, ba))
-            right = t.get((gb, a))
+    equal, before_defined, after_defined, identity = [], [], [], []
+    for (b, a), ba in t.items() if failing else ():
+        if b not in failing and a not in failing:
+            continue
+        # Associativity, equality part: whenever b.a and g.b are defined,
+        # g.(b.a) and (g.b).a must be defined and equal.
+        for g, gb in cols[b].items():
+            left = cols[ba].get(g)
+            right = cols[a].get(gb)
             if left is None or right is None:
                 missing = f"{g}.({b}.{a})" if left is None else f"({g}.{b}).{a}"
-                violations.append(violation(
+                equal.append(violation(
                     ASSOCIATIVITY_EXISTENCE, (g, b, a),
                     f"{missing} undefined although {b}.{a} and {g}.{b} are defined",
                 ))
             elif left != right:
-                violations.append(violation(
+                equal.append(violation(
                     ASSOCIATIVITY_EQUAL, (g, b, a),
                     f"{g}.({b}.{a}) = {left} but ({g}.{b}).{a} = {right}",
                 ))
-
-    # Associativity, partial-existence part: if g.(b.a) is defined then g.b is;
-    # if (g.b).a is defined then b.a is.
-    for (b, a), ba in t.items():
-        for g in after_of[ba]:
-            if (g, b) not in t:
-                violations.append(violation(
+        # Associativity, partial-existence part, with this entry as b.a:
+        # if g.(b.a) is defined then g.b is.
+        for g in cols[ba]:
+            if g not in cols[b]:
+                before_defined.append(violation(
                     ASSOCIATIVITY_EXISTENCE, (g, b, a),
                     f"{g}.({b}.{a}) is defined but {g}.{b} is not",
                 ))
-    for (g, b), gb in t.items():
-        for a in before_of[gb]:
-            if (b, a) not in t:
-                violations.append(violation(
+        # ... and with this entry as g.b: if (g.b).a is defined then b.a is.
+        g, b, gb = b, a, ba
+        for a in rows[gb]:
+            if a not in rows[b]:
+                after_defined.append(violation(
                     ASSOCIATIVITY_EXISTENCE, (g, b, a),
                     f"({g}.{b}).{a} is defined but {b}.{a} is not",
                 ))
 
-    # Identity existence: every morphism needs a neutral partner on each side.
-    neutral = neutral_morphisms(names, t)
-    for m in sorted(names):
-        dom_witnesses = sorted(i for i in neutral if (m, i) in t)
-        cod_witnesses = sorted(i for i in neutral if (i, m) in t)
-        if not dom_witnesses:
-            violations.append(violation(
-                IDENTITY_MISSING, (m,),
-                f"no identity i with {m}.i defined and i neutral",
-            ))
-        elif len(dom_witnesses) > 1:
-            violations.append(violation(
-                IDENTITY_NONUNIQUE, (m, *dom_witnesses[:2]),
-                f"{m} composes with {len(dom_witnesses)} neutral morphisms on the right",
-            ))
-        if not cod_witnesses:
-            violations.append(violation(
-                IDENTITY_MISSING, (m,),
-                f"no identity i with i.{m} defined and i neutral",
-            ))
-        elif len(cod_witnesses) > 1:
-            violations.append(violation(
-                IDENTITY_NONUNIQUE, (m, *cod_witnesses[:2]),
-                f"{len(cod_witnesses)} neutral morphisms compose with {m} on the left",
-            ))
+    # Identity existence: every morphism needs one neutral partner on each side.
+    for m in sorted(t.names):
+        for partners, composite, nonunique in (
+            (rows[m], f"{m}.i", "{m} composes with {n} neutral morphisms on the right"),
+            (cols[m], f"i.{m}", "{n} neutral morphisms compose with {m} on the left"),
+        ):
+            witnesses = sorted(t.neutral & partners.keys())
+            if not witnesses:
+                identity.append(violation(
+                    IDENTITY_MISSING, (m,), f"no identity i with {composite} defined and i neutral",
+                ))
+            elif len(witnesses) > 1:
+                identity.append(violation(
+                    IDENTITY_NONUNIQUE, (m, *witnesses[:2]), nonunique.format(m=m, n=len(witnesses)),
+                ))
 
-    return ValidationReport.from_violations(violations)
+    return ValidationReport.from_violations(t.conflicts + equal + before_defined + after_defined + identity)
 
 
 def infer_identities(morphisms: Iterable[str], table: Mapping[tuple[str, str], str]) -> frozenset[str]:
@@ -206,20 +232,20 @@ class ObjlessCategory:
 
     @classmethod
     def build(cls, morphisms: Iterable[str], table: TableLike) -> "ObjlessCategory":
-        report = validate_objectless(morphisms, table)
+        """Validate raw data and build the category; each argument is read once."""
+        t = _Table(morphisms, table)
+        report = validate_objectless(t.names, t)
         if not report.ok:
             raise InvalidCategoryError(report)
-        names = frozenset(morphisms)
-        t = {(after, before): result for after, before, result in _entries(table)}
-        identities = infer_identities(names, t)
-        dom = {}
-        cod = {}
-        for m in names:
-            dom[m] = next(i for i in identities if (m, i) in t)
-            cod[m] = next(i for i in identities if (i, m) in t)
+        identities = frozenset(i for i in t.neutral if (i, i) in t)
+        # dom and cod keep the declared name objects, in their order.
+        dom, cod = dict.fromkeys(t.names), dict.fromkeys(t.names)
+        for i in identities:
+            dom.update(dict.fromkeys(t.cols[i], i))
+            cod.update(dict.fromkeys(t.rows[i], i))
         return cls(
-            morphisms=names,
-            table=MappingProxyType(t),
+            morphisms=t.names,
+            table=MappingProxyType(dict(t)),
             identities=identities,
             dom=MappingProxyType(dom),
             cod=MappingProxyType(cod),

@@ -5,14 +5,33 @@ no shortcuts, so the library code they check never computes them the same way.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import product
+from typing import Iterable
 
 import pytest
 
 from arrowcat import fixtures as fx
-from arrowcat.core import ObjlessCategory
+from arrowcat.core import (
+    MAX_MORPHISMS,
+    ObjlessCategory,
+    TableLike,
+    _entries,
+    check_names,
+    neutral_morphisms,
+)
+from arrowcat.errors import CapacityError, NameNotFoundError
 from arrowcat.functors import FunctorMap, validate_functor
 from arrowcat.generators import gen_random
+from arrowcat.report import (
+    ASSOCIATIVITY_EQUAL,
+    ASSOCIATIVITY_EXISTENCE,
+    FUNCTIONALITY,
+    IDENTITY_MISSING,
+    IDENTITY_NONUNIQUE,
+    ValidationReport,
+    violation,
+)
 
 
 def brute_neutral(morphisms, table) -> set[str]:
@@ -101,6 +120,111 @@ def brute_standard_ok(std) -> bool:
                 if arrows[f][1] == arrows[g][0] and table[(h, table[(g, f)])] != table[(table[(h, g)], f)]:
                     return False
     return True
+
+
+# The string-keyed kernel that the column-at-once validator replaced, kept as
+# its reference: it walks every composable triple with tuple-keyed lookups.
+def reference_validate_objectless(morphisms: Iterable[str], table: TableLike) -> ValidationReport:
+    """Check the associativity and identity-existence axioms on raw data.
+
+    Returns a total report: all violations are collected (bounded), nothing
+    raises on axiom failure.  Undeclared or malformed names are programming
+    errors and raise instead of being reported.
+    """
+    names = frozenset(morphisms)
+    check_names(names)
+    if len(names) > MAX_MORPHISMS:
+        raise CapacityError(f"{len(names)} morphisms exceeds cap of {MAX_MORPHISMS}")
+    entries = _entries(table)
+    for after, before, result in entries:
+        for name in (after, before, result):
+            if name not in names:
+                raise NameNotFoundError(f"table references undeclared morphism {name!r}")
+
+    violations = []
+
+    # Functionality: no pair may map to two different results.
+    t: dict[tuple[str, str], str] = {}
+    for after, before, result in entries:
+        prior = t.get((after, before))
+        if prior is not None and prior != result:
+            violations.append(violation(
+                FUNCTIONALITY, (after, before, result),
+                f"pair ({after}, {before}) maps to both {prior} and {result}",
+            ))
+        else:
+            t[(after, before)] = result
+
+    # after_of[b] = all g with (g, b) defined; before_of[b] = all a with (b, a) defined.
+    after_of: dict[str, list[str]] = defaultdict(list)
+    before_of: dict[str, list[str]] = defaultdict(list)
+    for (g, b) in t:
+        after_of[b].append(g)
+        before_of[g].append(b)
+
+    # Associativity, equality part: whenever b.a and g.b are defined,
+    # g.(b.a) and (g.b).a must be defined and equal.
+    for (b, a), ba in t.items():
+        for g in after_of[b]:
+            gb = t[(g, b)]
+            left = t.get((g, ba))
+            right = t.get((gb, a))
+            if left is None or right is None:
+                missing = f"{g}.({b}.{a})" if left is None else f"({g}.{b}).{a}"
+                violations.append(violation(
+                    ASSOCIATIVITY_EXISTENCE, (g, b, a),
+                    f"{missing} undefined although {b}.{a} and {g}.{b} are defined",
+                ))
+            elif left != right:
+                violations.append(violation(
+                    ASSOCIATIVITY_EQUAL, (g, b, a),
+                    f"{g}.({b}.{a}) = {left} but ({g}.{b}).{a} = {right}",
+                ))
+
+    # Associativity, partial-existence part: if g.(b.a) is defined then g.b is;
+    # if (g.b).a is defined then b.a is.
+    for (b, a), ba in t.items():
+        for g in after_of[ba]:
+            if (g, b) not in t:
+                violations.append(violation(
+                    ASSOCIATIVITY_EXISTENCE, (g, b, a),
+                    f"{g}.({b}.{a}) is defined but {g}.{b} is not",
+                ))
+    for (g, b), gb in t.items():
+        for a in before_of[gb]:
+            if (b, a) not in t:
+                violations.append(violation(
+                    ASSOCIATIVITY_EXISTENCE, (g, b, a),
+                    f"({g}.{b}).{a} is defined but {b}.{a} is not",
+                ))
+
+    # Identity existence: every morphism needs a neutral partner on each side.
+    neutral = neutral_morphisms(names, t)
+    for m in sorted(names):
+        dom_witnesses = sorted(i for i in neutral if (m, i) in t)
+        cod_witnesses = sorted(i for i in neutral if (i, m) in t)
+        if not dom_witnesses:
+            violations.append(violation(
+                IDENTITY_MISSING, (m,),
+                f"no identity i with {m}.i defined and i neutral",
+            ))
+        elif len(dom_witnesses) > 1:
+            violations.append(violation(
+                IDENTITY_NONUNIQUE, (m, *dom_witnesses[:2]),
+                f"{m} composes with {len(dom_witnesses)} neutral morphisms on the right",
+            ))
+        if not cod_witnesses:
+            violations.append(violation(
+                IDENTITY_MISSING, (m,),
+                f"no identity i with i.{m} defined and i neutral",
+            ))
+        elif len(cod_witnesses) > 1:
+            violations.append(violation(
+                IDENTITY_NONUNIQUE, (m, *cod_witnesses[:2]),
+                f"{len(cod_witnesses)} neutral morphisms compose with {m} on the left",
+            ))
+
+    return ValidationReport.from_violations(violations)
 
 
 def random_pool(count: int, max_morphisms: int, offset: int = 0) -> list[ObjlessCategory]:

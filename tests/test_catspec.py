@@ -261,6 +261,30 @@ def test_check_validates_a_standard_category_once(monkeypatch, capsys):
     assert len(calls) == 2
 
 
+def test_check_validates_an_invalid_category_once(tmp_path, monkeypatch, capsys):
+    # One invalid category named by two functors: the failed build is kept.
+    path = tmp_path / "invalid.cat"
+    path.write_text(
+        "objless A {\n  arrows: e, s;\n  compose: e . e = e;\n  compose: s . s = e;\n}\n"
+        "functor F: A -> A {\n  map e -> e;\n  map s -> s;\n}\n"
+        "functor G: A -> A {\n  map e -> e;\n  map s -> e;\n}\n",
+        encoding="utf-8",
+    )
+    calls = _count_validations(monkeypatch)
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "INVALID: category A",
+        "  violation[associativity-existence] witnesses=(s, s, s): s.(s.s) undefined although s.s and s.s are defined",
+        "  violation[associativity-existence] witnesses=(e, s, s): e.(s.s) is defined but e.s is not",
+        "  violation[associativity-existence] witnesses=(s, s, e): (s.s).e is defined but s.e is not",
+        "  violation[identity-missing] witnesses=(s): no identity i with s.i defined and i neutral",
+        "  violation[identity-missing] witnesses=(s): no identity i with i.s defined and i neutral",
+        "skipped: functor F (source or target category invalid)",
+        "skipped: functor G (source or target category invalid)",
+    ]
+    assert len(calls) == 1
+
+
 def test_objectless_is_built_once_per_declaration(tmp_path):
     doc = parse(_chain_file(tmp_path).read_text(encoding="utf-8"))
     first = doc.objectless("C")

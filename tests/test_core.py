@@ -1,6 +1,9 @@
 """Arrow-kernel tests: validation, identities, composition, profiles, opposite."""
 from __future__ import annotations
 
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +22,7 @@ from arrowcat.errors import (
 from arrowcat.generators import gen_random
 from arrowcat.report import MAX_VIOLATIONS
 
-from conftest import brute_identities, brute_neutral
+from conftest import brute_identities, brute_neutral, reference_validate_objectless
 
 random_categories = st.integers(min_value=0, max_value=10_000).map(
     lambda seed: gen_random(seed, 16)
@@ -101,6 +104,78 @@ def test_build_rejects_invalid():
     with pytest.raises(InvalidCategoryError) as exc:
         ObjlessCategory.build(["e", "s"], {("e", "e"): "e", ("s", "s"): "e"})
     assert not exc.value.report.ok
+
+
+def test_build_reads_one_shot_iterables_once():
+    one = ObjlessCategory.build(["e"], {("e", "e"): "e"})
+    assert ObjlessCategory.build(iter(["e"]), {("e", "e"): "e"}) == one
+    assert ObjlessCategory.build(["e"], iter([("e", "e", "e")])) == one
+    cat = fx.finset2()
+    triples = [(g, b, r) for (g, b), r in cat.table.items()]
+    assert ObjlessCategory.build(iter(sorted(cat.morphisms)), iter(triples)) == cat
+
+
+DIFFERENTIAL_BASES = {
+    "walking_iso": fx.walking_iso,
+    "one": fx.one,
+    "finset2": fx.finset2,
+    "chain4": lambda: fx.chain_category(4, "c"),
+    "cyclic5": lambda: fx.cyclic(5),
+}
+
+
+def _assert_matches_reference(names, table):
+    assert validate_objectless(names, table) == reference_validate_objectless(names, table)
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_BASES))
+def test_kernel_matches_reference_on_single_entry_edits(name):
+    cat = DIFFERENTIAL_BASES[name]()
+    names = sorted(cat.morphisms)
+    table = dict(cat.table)
+    _assert_matches_reference(names, table)
+    # Every deletion, every changed result and every added pair.
+    for key, result in table.items():
+        _assert_matches_reference(names, {k: r for k, r in table.items() if k != key})
+    for key in product(names, repeat=2):
+        for other in names:
+            if other != table.get(key):
+                _assert_matches_reference(names, {**table, key: other})
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_kernel_matches_reference_on_seeded_edits(seed):
+    rng = random.Random(seed)
+    base = sorted(DIFFERENTIAL_BASES)[seed % len(DIFFERENTIAL_BASES)]
+    cat = gen_random(seed, 14) if seed % 6 == 5 else DIFFERENTIAL_BASES[base]()
+    names = sorted(cat.morphisms)
+    table = dict(cat.table)
+    # Deletions, changed results and new pairs; every tenth seed edits heavily,
+    # past the number of violations a report keeps.
+    for _ in range(rng.randint(2, 6) if seed % 10 else 40):
+        pair = (rng.choice(names), rng.choice(names))
+        if pair in table and rng.random() < 0.4:
+            del table[pair]
+        else:
+            table[pair] = rng.choice(names)
+    _assert_matches_reference(names, table)
+    # Violations come out in table order, so a reordered table must agree too.
+    items = list(table.items())
+    rng.shuffle(items)
+    _assert_matches_reference(names, dict(items))
+
+
+@pytest.mark.parametrize("name", ["finset2", "cyclic5", "chain4"])
+def test_kernel_matches_reference_on_conflicting_triples(name):
+    rng = random.Random(name)
+    cat = DIFFERENTIAL_BASES[name]()
+    names = sorted(cat.morphisms)
+    triples = [(g, b, r) for (g, b), r in cat.table.items()]
+    for _ in range(25):
+        g, b, r = rng.choice(triples)
+        edited = list(triples)
+        edited.insert(rng.randrange(len(edited) + 1), (g, b, rng.choice([n for n in names if n != r])))
+        _assert_matches_reference(names, edited)
 
 
 def test_morphism_cap():
