@@ -14,7 +14,7 @@ from typing import Mapping
 
 from .equivalence import NatTransf, validate_nat
 from .errors import WiringError
-from .functors import FunctorMap, functor_compose, functor_identity
+from .functors import FunctorMap, functor_compose, functor_identity, require_functor
 from .generators import Poset, gen_poset, monotone_map_check, poset_arrow
 from .limits import LIMIT_KINDS, LimitsReport, preserves_finite_limits
 
@@ -64,6 +64,8 @@ def _check_wiring(cand: AdjunctionCandidate) -> tuple:
     f, g = cand.left, cand.right
     if f.contravariant or g.contravariant:
         raise WiringError("adjunction requires covariant functors")
+    require_functor(f)
+    require_functor(g)
     if f.source != g.target or f.target != g.source:
         raise WiringError("adjoints are not wired F: D -> C, G: C -> D")
     d, c = f.source, f.target
@@ -79,7 +81,9 @@ def _check_wiring(cand: AdjunctionCandidate) -> tuple:
 
 
 def check_adjunction(cand: AdjunctionCandidate) -> AdjunctionReport:
-    """Verify the unit/counit data; in standard mode also the triangle identities."""
+    """Verify the unit/counit data; in standard mode also the triangle identities.
+
+    WiringError if either map is not a functor or the data is miswired."""
     if cand.mode not in (PAPER_LITERAL, STANDARD):
         raise ValueError(f"unknown mode {cand.mode!r}")
     d, c = _check_wiring(cand)

@@ -133,9 +133,6 @@ class CatspecDocument:
     nats: dict[str, NatDecl] = field(default_factory=dict)
     source_spans: dict[tuple[str, str], Span] = field(default_factory=dict, compare=False)
 
-    def category_names(self) -> list[str]:
-        return sorted(self.categories)
-
     def _category_decl(self, name: str) -> CategoryDecl:
         decl = self.categories.get(name)
         if decl is None:

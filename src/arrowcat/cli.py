@@ -266,19 +266,13 @@ def _cmd_equiv(args, out: _Output) -> int:
     return OK
 
 
-def _cmd_functor_check(args, out: _Output) -> int:
+def _cmd_validate(args, out: _Output) -> int:
+    """functor-check and nat-check: one entity's validation report."""
     doc = _read_document(args.file)
-    report = validate_functor(doc.functor(args.functor))
-    out.record["ok"] = report.ok
-    out.record["violations"] = _report_payload(report)
-    for line in report.lines():
-        out.say(line)
-    return OK if report.ok else FAIL
-
-
-def _cmd_nat_check(args, out: _Output) -> int:
-    doc = _read_document(args.file)
-    report = validate_nat(doc.nat(args.nat))
+    if args.command == "functor-check":
+        report = validate_functor(doc.functor(args.functor))
+    else:
+        report = validate_nat(doc.nat(args.nat))
     out.record["ok"] = report.ok
     out.record["violations"] = _report_payload(report)
     for line in report.lines():
@@ -529,8 +523,8 @@ _HANDLERS = {
     "skeleton": _cmd_skeleton,
     "iso": _cmd_iso,
     "equiv": _cmd_equiv,
-    "functor-check": _cmd_functor_check,
-    "nat-check": _cmd_nat_check,
+    "functor-check": _cmd_validate,
+    "nat-check": _cmd_validate,
     "adjoint-check": _cmd_adjoint_check,
     "limits": _cmd_limits,
     "admissible": _cmd_admissible,

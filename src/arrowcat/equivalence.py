@@ -8,6 +8,8 @@ by that isomorphism search.  An exhaustive search is kept as an independent
 oracle: it enumerates every functor pair with the same ``functor_search``,
 then every choice of transformation components.  It shares the search
 engine with the isomorphism search but nothing with the skeleton route.
+The searches are not trusted: each public decision audits only the witness
+it returns, and a failed audit raises AssertionError, under ``-O`` too.
 """
 from __future__ import annotations
 
@@ -36,50 +38,29 @@ from .report import (
 )
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable[str]):
-        self.parent = {item: item for item in items}
-
-    def find(self, item: str) -> str:
-        root = item
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[item] != root:  # path compression
-            self.parent[item], item = root, self.parent[item]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-    def blocks(self) -> list[frozenset[str]]:
-        groups: dict[str, set[str]] = {}
-        for item in self.parent:
-            groups.setdefault(self.find(item), set()).add(item)
-        return [frozenset(groups[root]) for root in sorted(groups)]
-
-
 def is_isomorphism(cat: ObjlessCategory, f: str) -> str | None:
     """The unique two-sided inverse of f, or None when f is not invertible."""
     if f not in cat.morphisms:
         raise NameNotFoundError(f"unknown morphism {f!r}")
     src, dst = cat.dom[f], cat.cod[f]
-    inverses = [
+    return next((
         g for g in sorted(cat.hom_class(dst, src))
         if cat.table.get((g, f)) == src and cat.table.get((f, g)) == dst
-    ]
-    assert len(inverses) <= 1, f"two distinct inverses for {f}"
-    return inverses[0] if inverses else None
+    ), None)
 
 
 def iso_classes(cat: ObjlessCategory) -> list[frozenset[str]]:
-    """Partition of the identities under "some morphism between them is invertible"."""
-    uf = _UnionFind(cat.identities)
-    for f in sorted(cat.morphisms):
-        if is_isomorphism(cat, f) is not None:
-            uf.union(cat.dom[f], cat.cod[f])
-    return uf.blocks()
+    """Partition of the identities under "some morphism between them is invertible".
+
+    One pass over the table: g.f = dom f with f.g = cod f makes f invertible.
+    Isomorphisms compose, so each identity meets its whole class directly.
+    """
+    dom, cod, table = cat.dom, cat.cod, cat.table
+    related = {ident: {ident} for ident in cat.identities}
+    for (g, f), r in table.items():
+        if r == dom[f] and table.get((f, g)) == cod[f]:
+            related[dom[f]].add(cod[f])
+    return sorted({frozenset(block) for block in related.values()}, key=min)
 
 
 def find_category_isomorphism(
@@ -87,13 +68,13 @@ def find_category_isomorphism(
     right: ObjlessCategory,
     max_morphisms: int = DEFAULT_ISO_CAP,
 ) -> FunctorMap | None:
-    """A functor with a strict two-sided inverse, re-validated before return."""
+    """A functor with a strict two-sided inverse, audited with its inverse before return."""
     check_cap(max_morphisms, left, right)
     bijection = find_table_bijection(left, right)
     if bijection is None:
         return None
     forward = FunctorMap(source=left, target=right, mapping=bijection, name="iso")
-    assert validate_functor(forward).ok and validate_functor(_inverse(forward, "iso_inverse")).ok
+    _audit(functors=(forward, _inverse(forward, "iso_inverse")))
     return forward
 
 
@@ -190,6 +171,21 @@ def is_natural_isomorphism(nat: NatTransf) -> bool:
     )
 
 
+def _audit(functors: Iterable[FunctorMap] = (), nat_isos: Iterable[NatTransf] = ()) -> None:
+    """Each functor valid, each transformation a natural isomorphism; else
+    AssertionError naming the first violation, a bug in the search."""
+    for functor in functors:
+        report = validate_functor(functor)
+        if not report.ok:
+            raise AssertionError(f"{functor.name}: {report.violations[0].message}")
+    for nat in nat_isos:
+        report = validate_nat(nat)
+        if not report.ok:
+            raise AssertionError(f"{nat.name}: {report.violations[0].message}")
+        if not is_natural_isomorphism(nat):
+            raise AssertionError(f"{nat.name} has a non-invertible component")
+
+
 def is_skeletal(cat: ObjlessCategory) -> bool:
     return all(len(block) == 1 for block in iso_classes(cat))
 
@@ -212,6 +208,13 @@ def skeleton(cat: ObjlessCategory, seed: int = 0) -> SkeletonResult:
     its component at each identity is a chosen isomorphism onto the
     representative, the identity itself for representatives.
     """
+    result = _skeleton(cat, seed)
+    _audit((result.inclusion, result.retraction), (result.witness,))
+    return result
+
+
+def _skeleton(cat: ObjlessCategory, seed: int) -> SkeletonResult:
+    """The skeleton and its witness, unaudited."""
     names = sorted(cat.identities)
     order = list(names)
     random.Random(seed).shuffle(order)
@@ -255,9 +258,6 @@ def skeleton(cat: ObjlessCategory, seed: int = 0) -> SkeletonResult:
         components=to_rep,
         name="skeleton_witness",
     )
-    assert validate_functor(inclusion).ok
-    assert validate_functor(retraction).ok
-    assert validate_nat(witness).ok and is_natural_isomorphism(witness)
     return SkeletonResult(
         skeleton=skel,
         inclusion=inclusion,
@@ -286,7 +286,7 @@ def _equivalence_witness(
     tau: Mapping[str, str],
     sigma: Mapping[str, str],
 ) -> EquivalenceWitness:
-    """The witness for morphism maps both ways and the components of tau and sigma, re-validated."""
+    """The witness for morphism maps both ways and the components of tau and sigma, audited."""
     fwd = FunctorMap(source=left, target=right, mapping=forward, name="forward")
     bwd = FunctorMap(source=right, target=left, mapping=backward, name="backward")
     witness = EquivalenceWitness(
@@ -295,14 +295,7 @@ def _equivalence_witness(
         tau=NatTransf(functor_identity(left), functor_compose(bwd, fwd), tau, name="tau"),
         sigma=NatTransf(functor_identity(right), functor_compose(fwd, bwd), sigma, name="sigma"),
     )
-    assert validate_functor(witness.forward).ok
-    assert validate_functor(witness.backward).ok
-    for nat in (witness.tau, witness.sigma):
-        assert validate_nat(nat).ok and is_natural_isomorphism(nat)
-    assert witness.tau.source == functor_identity(witness.forward.source)
-    assert witness.tau.target == functor_compose(witness.backward, witness.forward)
-    assert witness.sigma.source == functor_identity(witness.backward.source)
-    assert witness.sigma.target == functor_compose(witness.forward, witness.backward)
+    _audit((fwd, bwd), (witness.tau, witness.sigma))
     return witness
 
 
@@ -312,47 +305,39 @@ def are_equivalent(
     max_morphisms: int = DEFAULT_ISO_CAP,
     seed: int = 0,
 ) -> EquivalenceWitness | None:
-    """Decide equivalence via skeletons and assemble a re-validated witness.
+    """Decide equivalence via skeletons and assemble an audited witness.
 
     Equivalent iff the skeletons are isomorphic; the witness functors factor
     through the skeleton retractions and inclusions, so the two round trips
     literally equal the skeleton round trips and the skeleton witnesses serve
-    as the natural isomorphisms.
+    as the natural isomorphisms.  The inclusions are the identity on names.
     """
     check_cap(max_morphisms, left, right)
-    skel_left = skeleton(left, seed=seed)
-    skel_right = skeleton(right, seed=seed)
-    iso = find_category_isomorphism(skel_left.skeleton, skel_right.skeleton, max_morphisms)
+    skel_left = _skeleton(left, seed)
+    skel_right = _skeleton(right, seed)
+    iso = find_table_bijection(skel_left.skeleton, skel_right.skeleton)
     if iso is None:
         return None
-    forward = functor_compose(skel_right.inclusion, functor_compose(iso, skel_left.retraction))
-    backward = functor_compose(
-        skel_left.inclusion, functor_compose(_inverse(iso, "iso_inverse"), skel_right.retraction))
+    inverse = {v: k for k, v in iso.items()}
     return _equivalence_witness(
-        left, right, forward.mapping, backward.mapping,
+        left, right,
+        {m: iso[r] for m, r in skel_left.retraction.mapping.items()},
+        {m: inverse[r] for m, r in skel_right.retraction.mapping.items()},
         skel_left.witness.components, skel_right.witness.components,
     )
-
-
-def _iso_arrows(cat: ObjlessCategory, src: str, dst: str) -> list[str]:
-    return [f for f in sorted(cat.hom_class(src, dst)) if is_isomorphism(cat, f) is not None]
 
 
 def _find_nat_iso(cat: ObjlessCategory, roundtrip: dict[str, str]) -> dict[str, str] | None:
     """Components of a natural isomorphism Id -> roundtrip, by exhaustive choice."""
     idents = sorted(cat.identities)
-    candidates = []
-    for ident in idents:
-        isos = _iso_arrows(cat, ident, roundtrip[ident])
-        if not isos:
-            return None
-        candidates.append(isos)
+    candidates = [
+        [f for f in sorted(cat.hom_class(i, roundtrip[i])) if is_isomorphism(cat, f) is not None]
+        for i in idents
+    ]
     for chosen in product(*candidates):
         components = dict(zip(idents, chosen))
         if all(
-            cat.table.get((components[cat.cod[m]], m))
-            == cat.table.get((roundtrip[m], components[cat.dom[m]]))
-            and cat.table.get((components[cat.cod[m]], m)) is not None
+            cat.table.get((components[cat.cod[m]], m)) == cat.table.get((roundtrip[m], components[cat.dom[m]]))
             for m in cat.morphisms
         ):
             return components

@@ -12,6 +12,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .core import ObjlessCategory
+from .errors import WiringError
 from .report import (
     COMPOSITION_LAW,
     IDENTITY_LAW,
@@ -111,6 +112,13 @@ def validate_functor(f: FunctorMap) -> ValidationReport:
                 f"image of {after}.{before} is {image}, expected {f.mapping[result]}",
             ))
     return ValidationReport.from_violations(violations)
+
+
+def require_functor(f: FunctorMap) -> None:
+    """Raise WiringError naming ``f`` and its first violation unless it is a functor."""
+    report = validate_functor(f)
+    if not report.ok:
+        raise WiringError(f"{f.name} is not a functor: {report.violations[0].message}")
 
 
 def functor_identity(cat: ObjlessCategory, name: str = "id") -> FunctorMap:

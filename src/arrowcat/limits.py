@@ -13,7 +13,7 @@ from typing import Mapping
 
 from .core import ObjlessCategory
 from .errors import InapplicableScopeError, WiringError
-from .functors import FunctorMap
+from .functors import FunctorMap, require_functor
 
 LIMIT_KINDS = ("terminal", "products", "equalizers")
 
@@ -138,10 +138,12 @@ def preserves_finite_limits(
     """Verify that the image of every scoped limit cone is universal in the target.
 
     The source category must possess every scoped limit; a missing one raises
-    InapplicableScopeError naming it.
+    InapplicableScopeError naming it.  A map that is not a functor raises
+    WiringError naming its first violation.
     """
     if f.contravariant:
         raise WiringError("limit preservation applies to covariant functors")
+    require_functor(f)
     unknown = set(scope) - set(LIMIT_KINDS)
     if unknown:
         raise ValueError(f"unknown limit kinds: {sorted(unknown)}")

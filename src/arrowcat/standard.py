@@ -14,8 +14,9 @@ from itertools import product
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from ._search import DEFAULT_ISO_CAP, check_cap, find_table_bijection
+from ._search import DEFAULT_ISO_CAP, check_cap
 from .core import MAX_MORPHISMS, ObjlessCategory, check_names, validate_objectless
+from .equivalence import find_category_isomorphism
 from .errors import InvalidCategoryError
 from .report import (
     IDENTITY_MISSING,
@@ -169,8 +170,9 @@ def to_objectless(cat: StdCategory) -> ObjlessCategory:
         raise InvalidCategoryError(ValidationReport.from_violations(violations))
     result = ObjlessCategory.build(cat.arrows.keys(), cat.table)
     # On typed, total data with neutral declared identities, the kernel
-    # infers exactly the declared identities.
-    assert result.identities == frozenset(cat.id_of.values())
+    # infers exactly the declared identities; anything else is a bug.
+    if result.identities != frozenset(cat.id_of.values()):
+        raise AssertionError("the kernel inferred identities other than the declared ones")
     return result
 
 
@@ -192,11 +194,10 @@ def equal_up_to_renaming(
 ) -> tuple[dict[str, str], dict[str, str]] | None:
     """A pair (object bijection, arrow bijection) transporting left onto right, or None."""
     check_cap(max_morphisms, left.arrows, right.arrows)
-    obj_less_left = to_objectless(left)
-    obj_less_right = to_objectless(right)
-    arrow_map = find_table_bijection(obj_less_left, obj_less_right)
-    if arrow_map is None:
+    iso = find_category_isomorphism(to_objectless(left), to_objectless(right), max_morphisms)
+    if iso is None:
         return None
+    arrow_map = dict(iso.mapping)
     ids_right = {ident: obj for obj, ident in right.id_of.items()}
     object_map = {obj: ids_right[arrow_map[ident]] for obj, ident in left.id_of.items()}
     return object_map, arrow_map

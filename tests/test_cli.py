@@ -209,6 +209,36 @@ def test_admissible_command(capsys):
     assert code == 0
 
 
+def _galois_without(tmp_path, line: str) -> str:
+    text = (FIXTURES / "galois.cat").read_text(encoding="utf-8")
+    assert line in text
+    path = tmp_path / "partial.cat"
+    path.write_text(text.replace(line, ""), encoding="utf-8")
+    return str(path)
+
+
+def test_partial_functor_is_a_wiring_error(capsys, tmp_path):
+    # G leaves q0_le_q2 unmapped, and F maps p0_le_p1 onto it, so composing
+    # G.F would index a missing entry: each command must stop before that.
+    path = _galois_without(tmp_path, "map q0_le_q2 -> p0_le_p1;")
+    adjoint = ["--left", "F", "--right", "G", "--unit", "eta", "--counit", "eps"]
+    expected = "G is not a functor: morphism q0_le_q2 of the source is not mapped\n"
+    for argv in (["limits", path, "--functor", "G"],
+                 ["adjoint-check", path, *adjoint],
+                 ["admissible", path, *adjoint]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", expected), argv
+
+
+def test_partial_left_adjoint_is_a_wiring_error(capsys, tmp_path):
+    path = _galois_without(tmp_path, "map p0_le_p1 -> q0_le_q2;")
+    expected = "F is not a functor: morphism p0_le_p1 of the source is not mapped\n"
+    for argv in (["limits", path, "--functor", "F"],
+                 ["adjoint-check", path, "--left", "F", "--right", "G", "--unit", "eta", "--counit", "eps"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", expected), argv
+
+
 def test_convert_round_trip(capsys, tmp_path):
     from arrowcat.catspec import parse
     from arrowcat.standard import equal_up_to_renaming

@@ -1,10 +1,13 @@
 """Isomorphisms, naturality, skeletons, and the equivalence decision procedure."""
 from __future__ import annotations
 
+import dataclasses
+from itertools import cycle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arrowcat import fixtures as fx
+from arrowcat import equivalence, fixtures as fx
 from arrowcat.equivalence import (
     NatTransf,
     are_equivalent,
@@ -21,13 +24,23 @@ from arrowcat.equivalence import (
 from arrowcat.core import ObjlessCategory
 from arrowcat.errors import CapacityError, NameNotFoundError, NotAnIdentityError
 from arrowcat.functors import FunctorMap, functor_identity, validate_functor
-from arrowcat.generators import gen_random
+from arrowcat.generators import disjoint_union, gen_cyclic, gen_finset, gen_random, gen_walking_iso
+from arrowcat.standard import equal_up_to_renaming, to_objectless, to_standard
 
 from conftest import brute_inverses, brute_iso_related
 
 random_categories = st.integers(min_value=0, max_value=10_000).map(
     lambda seed: gen_random(seed, 16)
 )
+
+# gen_random only draws skeletal categories, so these add isomorphism
+# classes of two identities to a seeded draw.
+NON_SKELETAL = [
+    disjoint_union(gen_random(seed, 12), extra)
+    for seed, extra in zip(range(12), cycle([
+        gen_walking_iso(), fx.finset_dup(), to_objectless(gen_finset(2, (1, 2))),
+    ]))
+]
 
 
 def test_is_isomorphism_identity_and_flip():
@@ -37,14 +50,18 @@ def test_is_isomorphism_identity_and_flip():
     assert is_isomorphism(fx.two_chain(), "a") is None
 
 
-@settings(max_examples=30, deadline=None)
-@given(random_categories)
-def test_inverses_unique_and_match_bruteforce(cat):
+def _check_inverses(cat):
     for f in cat.morphisms:
         inverses = brute_inverses(cat, f)
         assert len(inverses) <= 1
         expected = inverses[0] if inverses else None
         assert is_isomorphism(cat, f) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_categories)
+def test_inverses_unique_and_match_bruteforce(cat):
+    _check_inverses(cat)
 
 
 def test_iso_classes_finset_dup():
@@ -62,6 +79,10 @@ def test_iso_classes_discrete_and_walking_iso():
 @settings(max_examples=30, deadline=None)
 @given(random_categories)
 def test_iso_classes_is_equivalence_relation(cat):
+    _check_iso_classes(cat)
+
+
+def _check_iso_classes(cat):
     blocks = iso_classes(cat)
     # partition property
     members = [i for block in blocks for i in block]
@@ -78,6 +99,25 @@ def test_iso_classes_is_equivalence_relation(cat):
                 for a in b1:
                     for b in b2:
                         assert not brute_iso_related(cat, a, b)
+
+
+def _brute_representatives(cat) -> list[str]:
+    """The least identity of each class, by direct isomorphism scans."""
+    idents = sorted(cat.identities)
+    return [a for a in idents if not any(brute_iso_related(cat, b, a) for b in idents if b < a)]
+
+
+@pytest.mark.parametrize("cat", NON_SKELETAL)
+def test_non_skeletal_inputs_match_bruteforce(cat):
+    assert not is_skeletal(cat)
+    _check_inverses(cat)
+    _check_iso_classes(cat)
+    reps = _brute_representatives(cat)
+    hom_count = sum(1 for m in cat.morphisms if cat.dom[m] in reps and cat.cod[m] in reps)
+    for seed in range(3):
+        result = skeleton(cat, seed=seed)
+        assert len(result.skeleton.identities) == len(reps)
+        assert len(result.skeleton.morphisms) == hom_count
 
 
 def test_find_category_isomorphism_reflexive():
@@ -301,3 +341,31 @@ def test_brute_force_capacity():
     fd = fx.finset_dup()
     with pytest.raises(CapacityError):
         brute_force_equivalence(fd, fd)
+
+
+# Swapping the identity g0 of the cyclic group of order 3 with g1 is a
+# bijection that is not a functor: every witness built from it must fail.
+Z3 = gen_cyclic(3)
+SWAP = {"g0": "g1", "g1": "g0", "g2": "g2"}
+real_skeleton = equivalence._skeleton
+
+
+def _wrong_skeleton(cat, seed):
+    return dataclasses.replace(
+        real_skeleton(cat, seed),
+        retraction=FunctorMap(source=cat, target=cat, mapping=SWAP, name="retraction"),
+    )
+
+
+@pytest.mark.parametrize("search, fake, decide", [
+    ("find_table_bijection", lambda c1, c2: dict(SWAP), lambda: find_category_isomorphism(Z3, Z3)),
+    ("_skeleton", _wrong_skeleton, lambda: skeleton(Z3)),
+    ("find_table_bijection", lambda c1, c2: dict(SWAP), lambda: are_equivalent(Z3, Z3)),
+    ("functor_search", lambda src, dst, iso=False: iter([dict(SWAP)]), lambda: brute_force_equivalence(Z3, Z3)),
+    ("find_table_bijection", lambda c1, c2: dict(SWAP),
+     lambda: equal_up_to_renaming(to_standard(Z3), to_standard(Z3))),
+], ids=["isomorphism", "skeleton", "equivalence", "brute-force", "renaming"])
+def test_audit_rejects_a_planted_wrong_witness(monkeypatch, search, fake, decide):
+    monkeypatch.setattr(equivalence, search, fake)
+    with pytest.raises(AssertionError, match="identity g0 maps to non-identity g1"):
+        decide()
