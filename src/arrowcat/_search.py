@@ -10,6 +10,19 @@ composite of; in ``iso`` mode the map must also stay injective and keep
 undefined composites undefined.  Each table entry is checked when the last
 of its two factors and its result is assigned, so the leaf yields the map
 without a second pass.
+
+In ``iso`` mode each morphism also carries an invariant that every
+isomorphism preserves: the size of its hom class, and for an endomorphism
+the tail length and period of its powers m, m.m, ...  (McKay & Piperno,
+"Practical graph isomorphism, II", 2014).  Whether it is an identity needs
+no place in it: only endomorphisms have a period, and an endomorphism hom
+class of size s holds one identity among its s members, so the multiset
+fixes how many identities have each size; and identities are mapped first,
+so no other morphism is offered one.  Categories whose invariant multisets
+differ are rejected before any branching.  A morphism is offered only the
+candidates with its invariant, still in name order; the others lead to no
+isomorphism, so the first isomorphism found is the one an unpruned search
+finds.
 The search is not trusted: the public decisions audit what they return.
 """
 from __future__ import annotations
@@ -46,6 +59,23 @@ def _identity_signature(cat, sizes, ident):
     return (self_size, tuple(out), tuple(inc))
 
 
+def _invariants(cat: ObjlessCategory, sizes: dict[tuple[str, str], int]) -> dict[str, tuple]:
+    """Each morphism's hom-class size, and the tail and period of its powers m, m.m, ..."""
+    out = {}
+    for m in cat.morphisms:
+        ends = (cat.dom[m], cat.cod[m])
+        tail = period = 0
+        if ends[0] == ends[1]:
+            seen: dict[str, int] = {}
+            power = m
+            while power not in seen:
+                seen[power] = len(seen)
+                power = cat.table[(m, power)]
+            tail, period = seen[power], len(seen) - seen[power]
+        out[m] = (sizes[ends], tail, period)
+    return out
+
+
 def functor_search(
     src: ObjlessCategory, dst: ObjlessCategory, *, iso: bool = False,
 ) -> Iterator[dict[str, str]]:
@@ -58,6 +88,9 @@ def functor_search(
     sizes2 = _hom_sizes(dst)
     ids2 = sorted(dst.identities)
     if iso:
+        inv1, inv2 = _invariants(src, sizes1), _invariants(dst, sizes2)
+        if Counter(inv1.values()) != Counter(inv2.values()):
+            return
         sig1 = {i: _identity_signature(src, sizes1, i) for i in src.identities}
         sig2 = {i: _identity_signature(dst, sizes2, i) for i in dst.identities}
         freq = Counter(sig1.values())
@@ -66,11 +99,12 @@ def functor_search(
         order = sorted(src.identities, key=lambda i: (freq[sig1[i]], sig1[i], i))
     else:
         order = sorted(src.identities)
+        inv1, inv2 = dict.fromkeys(src.morphisms), dict.fromkeys(dst.morphisms)
     order += sorted(m for m in src.morphisms if m not in src.identities)
 
-    hom2: dict[tuple[str, str], list[str]] = {}
+    hom2: dict[tuple[str, str, tuple | None], list[str]] = {}
     for m in sorted(dst.morphisms):
-        hom2.setdefault((dst.dom[m], dst.cod[m]), []).append(m)
+        hom2.setdefault((dst.dom[m], dst.cod[m], inv2[m]), []).append(m)
     produced_by: dict[str, list[tuple[str, str]]] = {}
     for pair, r in src.table.items():
         produced_by.setdefault(r, []).append(pair)
@@ -80,7 +114,7 @@ def functor_search(
 
     def candidates(x: str):
         if x not in src.identities:
-            return hom2.get((mapping[src.dom[x]], mapping[src.cod[x]]), ())
+            return hom2.get((mapping[src.dom[x]], mapping[src.cod[x]], inv1[x]), ())
         if iso:
             return [b for b in ids2 if sig2[b] == sig1[x]]
         return ids2

@@ -16,7 +16,7 @@ from .equivalence import NatTransf, validate_nat
 from .errors import WiringError
 from .functors import FunctorMap, functor_compose, functor_identity, require_functor
 from .generators import Poset, gen_poset, monotone_map_check, poset_arrow
-from .limits import LIMIT_KINDS, LimitsReport, preserves_finite_limits
+from .limits import LIMIT_KINDS, LimitsReport, _preserves_finite_limits
 
 PAPER_LITERAL = "paper-literal"
 STANDARD = "standard"
@@ -230,7 +230,8 @@ def is_admissible(
     """
     cand = AdjunctionCandidate(left=fstar, right=fsub, unit=unit, counit=counit, mode=STANDARD)
     adj_report = check_adjunction(cand)
-    limits_report = preserves_finite_limits(fstar, scope)
+    # check_adjunction has validated fstar and found it covariant.
+    limits_report = _preserves_finite_limits(fstar, scope)
     return AdmissibilityReport(
         ok=adj_report.ok and limits_report.ok,
         adjunction=adj_report,

@@ -74,8 +74,49 @@ def neutral_morphisms(morphisms: Iterable[str], table: Mapping[tuple[str, str], 
     return set(morphisms) - non_neutral
 
 
+def _conflict(after, before, prior, result):
+    return violation(
+        FUNCTIONALITY, (after, before, result),
+        f"pair ({after}, {before}) maps to both {prior} and {result}",
+    )
+
+
+def _associativity(g, b, a, left, right):
+    if left is None or right is None:
+        missing = f"{g}.({b}.{a})" if left is None else f"({g}.{b}).{a}"
+        return violation(
+            ASSOCIATIVITY_EXISTENCE, (g, b, a),
+            f"{missing} undefined although {b}.{a} and {g}.{b} are defined",
+        )
+    return violation(
+        ASSOCIATIVITY_EQUAL, (g, b, a),
+        f"{g}.({b}.{a}) = {left} but ({g}.{b}).{a} = {right}",
+    )
+
+
+def _outer_without_inner(g, b, a):
+    return violation(ASSOCIATIVITY_EXISTENCE, (g, b, a), f"{g}.({b}.{a}) is defined but {g}.{b} is not")
+
+
+def _outer_without_tail(g, b, a):
+    return violation(ASSOCIATIVITY_EXISTENCE, (g, b, a), f"({g}.{b}).{a} is defined but {b}.{a} is not")
+
+
+def _identity(m, right, witnesses):
+    if not witnesses:
+        composite = f"{m}.i" if right else f"i.{m}"
+        return violation(IDENTITY_MISSING, (m,), f"no identity i with {composite} defined and i neutral")
+    message = (f"{m} composes with {len(witnesses)} neutral morphisms on the right" if right
+               else f"{len(witnesses)} neutral morphisms compose with {m} on the left")
+    return violation(IDENTITY_NONUNIQUE, (m, *witnesses[:2]), message)
+
+
 class _Table(dict):
-    """A table read once, first result per pair kept: ``rows[g] = {b: g.b}``, ``cols[b] = {g: g.b}``."""
+    """A table read once, first result per pair kept: ``rows[g] = {b: g.b}``, ``cols[b] = {g: g.b}``.
+
+    ``conflicts`` holds a ``(make, *args)`` witness per conflicting duplicate, as
+    ``ValidationReport.from_witnesses`` takes them.
+    """
 
     def __init__(self, morphisms: Iterable[str], table: TableLike):
         self.names = names = frozenset(morphisms)
@@ -97,10 +138,7 @@ class _Table(dict):
         for after, before, result in entries or ():
             prior = self.get((after, before))
             if prior is not None and prior != result:
-                self.conflicts.append(violation(
-                    FUNCTIONALITY, (after, before, result),
-                    f"pair ({after}, {before}) maps to both {prior} and {result}",
-                ))
+                self.conflicts.append((_conflict, after, before, prior, result))
             else:
                 self[(after, before)] = result
         self.rows = rows = {m: {} for m in names}
@@ -130,6 +168,8 @@ def validate_objectless(morphisms: Iterable[str], table: TableLike) -> Validatio
     The partial-existence parts are the inclusions ``cols[ba] <= cols[b]`` and ``rows[gb]
     <= rows[b]``, one ``is`` test on shared key sets when they hold.  Only the entries of
     a morphism that fails are walked ``g`` by ``g``, in table order, to report violations.
+    Each violation is kept as a raw witness tuple; only the first ``MAX_VIOLATIONS``
+    are formatted, so badly broken input costs no more than a count past the cap.
     """
     t = table if isinstance(table, _Table) else _Table(morphisms, table)
     rows, cols = t.rows, t.cols
@@ -155,51 +195,27 @@ def validate_objectless(morphisms: Iterable[str], table: TableLike) -> Validatio
         for g, gb in cols[b].items():
             left = cols[ba].get(g)
             right = cols[a].get(gb)
-            if left is None or right is None:
-                missing = f"{g}.({b}.{a})" if left is None else f"({g}.{b}).{a}"
-                equal.append(violation(
-                    ASSOCIATIVITY_EXISTENCE, (g, b, a),
-                    f"{missing} undefined although {b}.{a} and {g}.{b} are defined",
-                ))
-            elif left != right:
-                equal.append(violation(
-                    ASSOCIATIVITY_EQUAL, (g, b, a),
-                    f"{g}.({b}.{a}) = {left} but ({g}.{b}).{a} = {right}",
-                ))
+            if left is None or right is None or left != right:
+                equal.append((_associativity, g, b, a, left, right))
         # Associativity, partial-existence part, with this entry as b.a:
         # if g.(b.a) is defined then g.b is.
         for g in cols[ba]:
             if g not in cols[b]:
-                before_defined.append(violation(
-                    ASSOCIATIVITY_EXISTENCE, (g, b, a),
-                    f"{g}.({b}.{a}) is defined but {g}.{b} is not",
-                ))
+                before_defined.append((_outer_without_inner, g, b, a))
         # ... and with this entry as g.b: if (g.b).a is defined then b.a is.
         g, b, gb = b, a, ba
         for a in rows[gb]:
             if a not in rows[b]:
-                after_defined.append(violation(
-                    ASSOCIATIVITY_EXISTENCE, (g, b, a),
-                    f"({g}.{b}).{a} is defined but {b}.{a} is not",
-                ))
+                after_defined.append((_outer_without_tail, g, b, a))
 
     # Identity existence: every morphism needs one neutral partner on each side.
     for m in sorted(t.names):
-        for partners, composite, nonunique in (
-            (rows[m], f"{m}.i", "{m} composes with {n} neutral morphisms on the right"),
-            (cols[m], f"i.{m}", "{n} neutral morphisms compose with {m} on the left"),
-        ):
+        for partners, right in ((rows[m], True), (cols[m], False)):
             witnesses = sorted(t.neutral & partners.keys())
-            if not witnesses:
-                identity.append(violation(
-                    IDENTITY_MISSING, (m,), f"no identity i with {composite} defined and i neutral",
-                ))
-            elif len(witnesses) > 1:
-                identity.append(violation(
-                    IDENTITY_NONUNIQUE, (m, *witnesses[:2]), nonunique.format(m=m, n=len(witnesses)),
-                ))
+            if len(witnesses) != 1:
+                identity.append((_identity, m, right, witnesses))
 
-    return ValidationReport.from_violations(t.conflicts + equal + before_defined + after_defined + identity)
+    return ValidationReport.from_witnesses(t.conflicts + equal + before_defined + after_defined + identity)
 
 
 def infer_identities(morphisms: Iterable[str], table: Mapping[tuple[str, str], str]) -> frozenset[str]:

@@ -103,11 +103,38 @@ class NatTransf:
         return hash((self.source, self.target, tuple(sorted(self.components.items()))))
 
 
+def _squares_commute(nat: NatTransf) -> bool:
+    """True iff ``validate_nat`` finds no violation, in one C-level pass.
+
+    A functor that leaves a morphism unmapped fails the pass through ``get``,
+    and the sorted walk then raises the KeyError.
+    """
+    f, g, comps = nat.source, nat.target, nat.components
+    src, dst = f.source, f.target
+    if not (comps.keys() == src.identities and dst.morphisms.issuperset(comps.values())):
+        return False
+    if (list(map(dst.dom.__getitem__, comps.values())) != list(map(f.mapping.get, comps))
+            or list(map(dst.cod.__getitem__, comps.values())) != list(map(g.mapping.get, comps))):
+        return False
+    tau, arrows = comps.__getitem__, src.morphisms
+    lefts = list(map(dst.table.get, zip(map(tau, map(src.cod.__getitem__, arrows)),
+                                        map(f.mapping.get, arrows))))
+    rights = list(map(dst.table.get, zip(map(g.mapping.get, arrows),
+                                         map(tau, map(src.dom.__getitem__, arrows)))))
+    return lefts == rights and None not in lefts
+
+
 def validate_nat(nat: NatTransf) -> ValidationReport:
-    """Totality over source identities, component typing, and all naturality squares."""
+    """Totality over source identities, component typing, and all naturality squares.
+
+    The squares are first checked in one C-level pass; only a failing
+    transformation is walked in sorted order to report its violations.
+    """
     f, g = nat.source, nat.target
     if f.source != g.source or f.target != g.target:
         raise WiringError("transformation between functors with different sources or targets")
+    if _squares_commute(nat):
+        return ValidationReport.from_violations(())
     src, dst = f.source, f.target
 
     violations = []

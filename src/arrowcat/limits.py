@@ -144,6 +144,11 @@ def preserves_finite_limits(
     if f.contravariant:
         raise WiringError("limit preservation applies to covariant functors")
     require_functor(f)
+    return _preserves_finite_limits(f, scope)
+
+
+def _preserves_finite_limits(f: FunctorMap, scope: tuple[str, ...]) -> LimitsReport:
+    """``preserves_finite_limits`` for a covariant functor already validated."""
     unknown = set(scope) - set(LIMIT_KINDS)
     if unknown:
         raise ValueError(f"unknown limit kinds: {sorted(unknown)}")

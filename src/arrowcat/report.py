@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 # Violation kinds emitted by the category validators.
 FUNCTIONALITY = "functionality"
@@ -44,6 +44,13 @@ class ValidationReport:
     def from_violations(cls, violations: Iterable[Violation]) -> "ValidationReport":
         found = tuple(violations)
         return cls(ok=not found, violations=found[:MAX_VIOLATIONS], total=len(found))
+
+    @classmethod
+    def from_witnesses(cls, found: Sequence[tuple]) -> "ValidationReport":
+        """A report from ``(make, *args)`` entries, where ``make(*args)`` is the
+        violation; only the first ``MAX_VIOLATIONS`` are formatted."""
+        shown = tuple(make(*args) for make, *args in found[:MAX_VIOLATIONS])
+        return cls(ok=not found, violations=shown, total=len(found))
 
     def kinds(self) -> set[str]:
         return {v.kind for v in self.violations}

@@ -20,15 +20,22 @@ from arrowcat.core import (
     check_names,
     neutral_morphisms,
 )
-from arrowcat.errors import CapacityError, NameNotFoundError
+from arrowcat.errors import CapacityError, NameNotFoundError, WiringError
 from arrowcat.functors import FunctorMap, validate_functor
 from arrowcat.generators import gen_random
+from arrowcat.equivalence import NatTransf
 from arrowcat.report import (
     ASSOCIATIVITY_EQUAL,
     ASSOCIATIVITY_EXISTENCE,
+    COMPOSITION_LAW,
     FUNCTIONALITY,
+    IDENTITY_LAW,
     IDENTITY_MISSING,
     IDENTITY_NONUNIQUE,
+    NAME_NOT_FOUND,
+    NATURALITY,
+    TOTALITY,
+    TYPING,
     ValidationReport,
     violation,
 )
@@ -224,6 +231,102 @@ def reference_validate_objectless(morphisms: Iterable[str], table: TableLike) ->
                 f"{len(cod_witnesses)} neutral morphisms compose with {m} on the left",
             ))
 
+    return ValidationReport.from_violations(violations)
+
+
+# The sorted-walk functor and transformation validators that the one-pass
+# checks in front of them replaced, kept as their references.
+def reference_validate_functor(f: FunctorMap) -> ValidationReport:
+    """Totality, identity preservation, and the variance-appropriate composition law."""
+    violations = []
+    for m in sorted(f.source.morphisms):
+        if m not in f.mapping:
+            violations.append(violation(
+                TOTALITY, (m,), f"morphism {m} of the source is not mapped",
+            ))
+    for key in sorted(f.mapping):
+        if key not in f.source.morphisms:
+            violations.append(violation(
+                TYPING, (key,), f"map key {key} is not a morphism of the source",
+            ))
+    for key, value in sorted(f.mapping.items()):
+        if value not in f.target.morphisms:
+            violations.append(violation(
+                NAME_NOT_FOUND, (key, value), f"{key} maps to unknown morphism {value}",
+            ))
+    if violations:
+        return ValidationReport.from_violations(violations)
+
+    for ident in sorted(f.source.identities):
+        if f.mapping[ident] not in f.target.identities:
+            violations.append(violation(
+                IDENTITY_LAW, (ident, f.mapping[ident]),
+                f"identity {ident} maps to non-identity {f.mapping[ident]}",
+            ))
+
+    cov = f.covariant_view()
+    for (after, before), result in sorted(cov.source.table.items()):
+        image = f.target.table.get((f.mapping[after], f.mapping[before]))
+        if image is None:
+            violations.append(violation(
+                COMPOSITION_LAW, (after, before),
+                f"{after}.{before} is defined but its image composition is not",
+            ))
+        elif image != f.mapping[result]:
+            violations.append(violation(
+                COMPOSITION_LAW, (after, before, result),
+                f"image of {after}.{before} is {image}, expected {f.mapping[result]}",
+            ))
+    return ValidationReport.from_violations(violations)
+
+
+def reference_validate_nat(nat: NatTransf) -> ValidationReport:
+    """Totality over source identities, component typing, and all naturality squares."""
+    f, g = nat.source, nat.target
+    if f.source != g.source or f.target != g.target:
+        raise WiringError("transformation between functors with different sources or targets")
+    src, dst = f.source, f.target
+
+    violations = []
+    for ident in sorted(src.identities):
+        if ident not in nat.components:
+            violations.append(violation(
+                TOTALITY, (ident,), f"no component at identity {ident}",
+            ))
+    for key in sorted(nat.components):
+        if key not in src.identities:
+            violations.append(violation(
+                TYPING, (key,), f"component key {key} is not an identity of the source",
+            ))
+    for key, value in sorted(nat.components.items()):
+        if value not in dst.morphisms:
+            violations.append(violation(
+                NAME_NOT_FOUND, (key, value), f"component at {key} names unknown morphism {value}",
+            ))
+    if violations:
+        return ValidationReport.from_violations(violations)
+
+    for ident, comp in sorted(nat.components.items()):
+        want = (f.mapping[ident], g.mapping[ident])
+        got = (dst.dom[comp], dst.cod[comp])
+        if got != want:
+            violations.append(violation(
+                TYPING, (ident, comp),
+                f"component at {ident} is typed {got[0]} -> {got[1]}, expected {want[0]} -> {want[1]}",
+            ))
+    if violations:
+        return ValidationReport.from_violations(violations)
+
+    for m in sorted(src.morphisms):
+        tau_dom = nat.components[src.dom[m]]
+        tau_cod = nat.components[src.cod[m]]
+        left = dst.table.get((tau_cod, f.mapping[m]))
+        right = dst.table.get((g.mapping[m], tau_dom))
+        if left is None or right is None or left != right:
+            violations.append(violation(
+                NATURALITY, (m,),
+                f"square at {m} does not commute: {tau_cod}.{f.mapping[m]} vs {g.mapping[m]}.{tau_dom}",
+            ))
     return ValidationReport.from_violations(violations)
 
 

@@ -6,10 +6,12 @@ import dataclasses
 import pytest
 
 from arrowcat import fixtures as fx
+from arrowcat import functors
 from arrowcat.adjunction import (
     PAPER_LITERAL,
     STANDARD,
     AdjunctionCandidate,
+    AdmissibilityReport,
     check_adjunction,
     galois_oracle,
     galois_violations,
@@ -19,7 +21,8 @@ from arrowcat.adjunction import (
 )
 from arrowcat.equivalence import NatTransf
 from arrowcat.errors import NotMonotoneError, WiringError
-from arrowcat.functors import functor_compose, functor_identity
+from arrowcat.functors import functor_compose, functor_identity, validate_functor
+from arrowcat.limits import preserves_finite_limits
 
 
 def identity_candidate(cat) -> AdjunctionCandidate:
@@ -177,6 +180,22 @@ def test_diamond_fixture_not_admissible_with_limit_failure_cited():
     assert not report.ok
     assert any(fl.kind == "product" and set(fl.diagram) == {"da", "db"}
                for fl in report.limits.failures)
+
+
+@pytest.mark.parametrize("maps", [fx.galois_maps, fx.perturbed_galois_maps, fx.diamond_galois_maps])
+def test_is_admissible_validates_each_functor_once(monkeypatch, maps):
+    cand = poset_adjunction(*maps())
+    adjunction, limits = check_adjunction(cand), preserves_finite_limits(cand.left)
+    want = AdmissibilityReport(ok=adjunction.ok and limits.ok, adjunction=adjunction, limits=limits)
+    calls = []
+
+    def counting_validate_functor(f):
+        calls.append(f.name)
+        return validate_functor(f)
+
+    monkeypatch.setattr(functors, "validate_functor", counting_validate_functor)
+    assert is_admissible(cand.left, cand.right, cand.unit, cand.counit) == want
+    assert calls == ["F", "G"]
 
 
 def test_poset_functor_rejects_non_monotone():

@@ -1,0 +1,127 @@
+"""The one-pass functor and transformation checks against the sorted-walk references.
+
+``validate_functor`` and ``validate_nat`` first run a pass of C-level
+operations and walk the table only when it fails.  Every single-entry edit of
+a few valid functors and transformations, covariant and contravariant, must
+give the report (or the exception) that the references in ``conftest`` give.
+"""
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+
+from arrowcat import fixtures as fx
+from arrowcat.adjunction import poset_adjunction, poset_functor
+from arrowcat.equivalence import NatTransf, identity_nat, skeleton, validate_nat
+from arrowcat.functors import CONTRAVARIANT, FunctorMap, functor_identity, validate_functor
+
+from conftest import reference_validate_functor, reference_validate_nat
+
+UNKNOWN = "zz_unknown"
+
+
+def _functors() -> dict[str, FunctorMap]:
+    skel = skeleton(fx.finset_dup())
+    p, q, f, _ = fx.galois_maps()
+    return {
+        "identity": functor_identity(fx.finset2()),
+        "collapse": FunctorMap(
+            source=fx.two_chain(), target=fx.z2(), mapping={"i0": "e", "i1": "e", "a": "s"},
+        ),
+        # The point to the identity of a 2-element set, whose monoid holds idempotents.
+        "point": FunctorMap(source=fx.one(), target=fx.finset2(), mapping={"star": "id_n2"}),
+        "inclusion": skel.inclusion,
+        "retraction": skel.retraction,
+        "poset": poset_functor(p, q, f),
+    }
+
+
+FUNCTORS = _functors()
+
+
+def _variants(f: FunctorMap) -> list[FunctorMap]:
+    """``f`` itself, ``f`` as a (valid) contravariant functor out of the
+    opposite, and the same map marked contravariant on the same source."""
+    return [
+        f,
+        dataclasses.replace(f, source=f.source.opposite(), variance=CONTRAVARIANT),
+        dataclasses.replace(f, variance=CONTRAVARIANT),
+    ]
+
+
+def _edits(mapping, keys, values) -> list[dict[str, str]]:
+    """Each single-entry edit: retarget one key to each other value, drop a
+    key, add an unknown key, map a key to an unknown name."""
+    mapping = dict(mapping)
+    out = [{**mapping, UNKNOWN: min(values)}]
+    for key in sorted(keys):
+        out += [{**mapping, key: other} for other in sorted(values) if other != mapping.get(key)]
+        out.append({k: v for k, v in mapping.items() if k != key})
+        out.append({**mapping, key: UNKNOWN})
+    return out
+
+
+def _outcome(check, arg):
+    try:
+        return check(arg)
+    except KeyError as exc:  # both raise it on a functor that leaves a morphism unmapped
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTORS))
+def test_functor_reports_match_reference_on_single_entry_edits(name):
+    checked = failing = 0
+    for base in _variants(FUNCTORS[name]):
+        assert validate_functor(base) == reference_validate_functor(base)
+        for mapping in _edits(base.mapping, base.source.morphisms, base.target.morphisms):
+            edited = dataclasses.replace(base, mapping=mapping)
+            report = validate_functor(edited)
+            assert report == reference_validate_functor(edited), mapping
+            checked += 1
+            failing += not report.ok
+    assert validate_functor(_variants(FUNCTORS[name])[1]).ok
+    assert failing > checked // 2
+
+
+def _transformations() -> dict[str, NatTransf]:
+    skel = skeleton(fx.finset_dup())
+    good = poset_adjunction(*fx.galois_maps())
+    bad = poset_adjunction(*fx.perturbed_galois_maps())
+    return {
+        "identity": identity_nat(FUNCTORS["poset"]),
+        "collapse": identity_nat(FUNCTORS["collapse"]),
+        "idempotent": NatTransf(FUNCTORS["point"], FUNCTORS["point"], {"star": "n2_n2_00"}),
+        "skeleton": skel.witness,
+        "unit": good.unit,
+        "counit": good.counit,
+        "perturbed-unit": bad.unit,
+        "perturbed-counit": bad.counit,
+    }
+
+
+TRANSFORMATIONS = _transformations()
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORMATIONS))
+def test_nat_reports_match_reference_on_single_entry_edits(name):
+    nat = TRANSFORMATIONS[name]
+    src, dst = nat.source.source, nat.source.target
+    assert validate_nat(nat) == reference_validate_nat(nat)
+    # Edits of the components, then of either functor's morphism map, and of
+    # both at once where they are the same functor.
+    edited = [
+        dataclasses.replace(nat, components=c)
+        for c in _edits(nat.components, src.identities, dst.morphisms)
+    ]
+    sides = [("source",), ("target",)] + [("source", "target")] * (nat.source == nat.target)
+    for side in sides:
+        functor = getattr(nat, side[0])
+        edited += [
+            dataclasses.replace(nat, **dict.fromkeys(side, dataclasses.replace(functor, mapping=m)))
+            for m in _edits(functor.mapping, src.morphisms, dst.morphisms)
+        ]
+    outcomes = [(_outcome(validate_nat, e), _outcome(reference_validate_nat, e)) for e in edited]
+    for (got, want), e in zip(outcomes, edited):
+        assert got == want, (e.components, dict(e.target.mapping))
+    assert sum(not (isinstance(got, tuple) or got.ok) for got, _ in outcomes) > len(outcomes) // 4

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arrowcat import core
 from arrowcat import fixtures as fx
 from arrowcat.core import (
     ObjlessCategory,
@@ -19,8 +20,8 @@ from arrowcat.errors import (
     NameNotFoundError,
     NotAnIdentityError,
 )
-from arrowcat.generators import gen_random
-from arrowcat.report import MAX_VIOLATIONS
+from arrowcat.generators import gen_cyclic, gen_random
+from arrowcat.report import MAX_VIOLATIONS, violation
 
 from conftest import brute_identities, brute_neutral, reference_validate_objectless
 
@@ -63,6 +64,25 @@ def test_truncated_report_keeps_the_true_total():
     assert report.lines()[-1] == "... 500 more violations not shown (600 in all)"
     with pytest.raises(InvalidCategoryError, match=r"\(\+599 more\)$"):
         ObjlessCategory.build(names, {})
+
+
+def test_broken_input_formats_only_the_violations_it_keeps(monkeypatch):
+    # Every result of the cyclic group of order 40 made random: tens of
+    # thousands of violations, of which a report keeps the first 100.
+    rng = random.Random(40)
+    names = sorted(gen_cyclic(40).morphisms)
+    table = {pair: rng.choice(names) for pair in product(names, repeat=2)}
+    want = reference_validate_objectless(names, table)
+    formatted = []
+
+    def counting_violation(*args):
+        formatted.append(args)
+        return violation(*args)
+
+    monkeypatch.setattr(core, "violation", counting_violation)
+    report = validate_objectless(names, table)
+    assert report == want and report.total > 50_000
+    assert len(formatted) == len(report.violations) == MAX_VIOLATIONS
 
 
 def test_associativity_inequality_reported():

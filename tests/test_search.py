@@ -1,12 +1,18 @@
-"""The functor search engine against the brute-force functor oracle."""
+"""The functor search engine against the brute-force functor oracle, and its
+invariant pruning on equal-order groups."""
 from __future__ import annotations
+
+import random
+from itertools import combinations, product
 
 import pytest
 
+from arrowcat import _search
 from arrowcat import fixtures as fx
-from arrowcat._search import functor_search
+from arrowcat._search import find_table_bijection, functor_search
+from arrowcat.core import ObjlessCategory
 from arrowcat.functors import FunctorMap, validate_functor
-from arrowcat.generators import gen_random
+from arrowcat.generators import gen_monoid, gen_random
 
 from conftest import brute_functors
 
@@ -59,3 +65,77 @@ def test_iso_search_yields_exactly_the_isomorphisms(oracle, a):
         found = [_key(m) for m in functor_search(src, dst, iso=True)]
         assert len(found) == len(set(found)), b
         assert set(found) == {_key(m) for m in oracle[(a, b)] if _is_isomorphism(src, dst, m)}, b
+
+
+def _group(orders: tuple[int, ...], prefix: str = "g", seed: int | None = None):
+    """Z_o1 x Z_o2 x ... as a one-object category; a seed shuffles the names."""
+    elems = list(product(*(range(o) for o in orders)))
+    names = [f"{prefix}{k:02d}" for k in range(len(elems))]
+    if seed is not None:
+        random.Random(seed).shuffle(names)
+    name = dict(zip(elems, names))
+    return gen_monoid({
+        (name[a], name[b]): name[tuple((x + y) % o for x, y, o in zip(a, b, orders))]
+        for a in elems for b in elems
+    })
+
+
+def _with_zero(square: str):
+    """The monoid {u, x, z} with z absorbing and x.x = ``square``."""
+    names = ("u", "x", "z")
+    table = {(a, b): "z" for a in names for b in names}
+    table.update({(a, "u"): a for a in names})
+    table.update({("u", b): b for b in names})
+    table[("x", "x")] = square
+    return gen_monoid(table)
+
+
+def _tag(orders: tuple[int, ...]) -> str:
+    return "x".join(f"Z{o}" for o in orders)
+
+
+def _two_arrows(g_cod: str):
+    """Objects x, y, z, f: x -> y and g: x -> ``g_cod``, and nothing else."""
+    ids = {"ix": "ix", "iy": "iy", "iz": "iz"}
+    table = {(i, i): i for i in ids}
+    table.update({("f", "ix"): "f", ("iy", "f"): "f", ("g", "ix"): "g", ("i" + g_cod, "g"): "g"})
+    return ObjlessCategory.build([*ids, "f", "g"], table)
+
+
+GROUPS_16 = [(16,), (4, 4), (2, 8), (2, 2, 4)]
+# Pairs of equal size, identity count and table size whose invariant
+# multisets differ.  In the groups the periods of the elements are their
+# orders.  In the monoids x has tail 1 and period 1 (x.x = z) against tail 0
+# and period 2 (x.x = u), so both parts are needed; the last pair differs
+# only in hom-class sizes.
+UNEQUAL = {
+    **{f"{_tag(l)}-{_tag(r)}": (_group(l), _group(r, "h", seed=1)) for l, r in combinations(GROUPS_16, 2)},
+    "nilpotent-involution": (_with_zero("z"), _with_zero("u")),
+    "parallel-spread": (_two_arrows("y"), _two_arrows("z")),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(UNEQUAL))
+def test_unequal_invariants_are_rejected_before_branching(monkeypatch, pair):
+    a, b = UNEQUAL[pair]
+    assert (len(a), len(a.identities), len(a.table)) == (len(b), len(b.identities), len(b.table))
+    inv_a = _search._invariants(a, _search._hom_sizes(a))
+    inv_b = _search._invariants(b, _search._hom_sizes(b))
+    assert sorted(inv_a.values()) != sorted(inv_b.values())
+
+    def branched(*args):
+        raise AssertionError("the search went past the invariant check")
+
+    monkeypatch.setattr(_search, "_identity_signature", branched)
+    assert find_table_bijection(a, b) is None
+    assert find_table_bijection(b, a) is None
+
+
+@pytest.mark.parametrize("orders", GROUPS_16, ids=_tag)
+def test_relabelled_groups_are_still_found(orders):
+    a = _group(orders)
+    for seed in range(3):
+        b = _group(orders, "h", seed=seed)
+        found = find_table_bijection(a, b)
+        assert found is not None and sorted(found.values()) == sorted(b.morphisms)
+        assert validate_functor(FunctorMap(source=a, target=b, mapping=found)).ok
