@@ -43,6 +43,12 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 TableLike = Mapping[tuple[str, str], str] | Iterable[tuple[str, str, str]]
 
 
+def check_count(count: int, cap: int = MAX_MORPHISMS) -> None:
+    """Raise CapacityError if ``count`` morphisms exceed ``cap``."""
+    if count > cap:
+        raise CapacityError(f"{count} morphisms exceeds cap of {cap}")
+
+
 def is_wellformed_name(name: str) -> bool:
     return bool(_NAME_RE.match(name))
 
@@ -121,8 +127,7 @@ class _Table(dict):
     def __init__(self, morphisms: Iterable[str], table: TableLike):
         self.names = names = frozenset(morphisms)
         check_names(names)
-        if len(names) > MAX_MORPHISMS:
-            raise CapacityError(f"{len(names)} morphisms exceeds cap of {MAX_MORPHISMS}")
+        check_count(len(names))
         entries = None if isinstance(table, Mapping) else [tuple(entry) for entry in table]
         if entries is None:
             self.update(table)  # a mapping holds no conflicting duplicates

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import compress, islice, product, repeat
+from operator import ne
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from ._search import BRUTE_FORCE_CAP, DEFAULT_ISO_CAP, check_cap, find_table_bijection, functor_search
+from ._search import BRUTE_FORCE_CAP, BRUTE_FORCE_PAIRS, DEFAULT_ISO_CAP, check_cap, find_table_bijection, functor_search
 from .core import ObjlessCategory
-from .errors import NameNotFoundError, WiringError
+from .errors import CapacityError, NameNotFoundError, WiringError
 from .functors import (
     FunctorMap,
     functor_compose,
@@ -103,81 +104,71 @@ class NatTransf:
         return hash((self.source, self.target, tuple(sorted(self.components.items()))))
 
 
-def _squares_commute(nat: NatTransf) -> bool:
-    """True iff ``validate_nat`` finds no violation, in one C-level pass.
-
-    A functor that leaves a morphism unmapped fails the pass through ``get``,
-    and the sorted walk then raises the KeyError.
-    """
-    f, g, comps = nat.source, nat.target, nat.components
-    src, dst = f.source, f.target
-    if not (comps.keys() == src.identities and dst.morphisms.issuperset(comps.values())):
-        return False
-    if (list(map(dst.dom.__getitem__, comps.values())) != list(map(f.mapping.get, comps))
-            or list(map(dst.cod.__getitem__, comps.values())) != list(map(g.mapping.get, comps))):
-        return False
-    tau, arrows = comps.__getitem__, src.morphisms
-    lefts = list(map(dst.table.get, zip(map(tau, map(src.cod.__getitem__, arrows)),
-                                        map(f.mapping.get, arrows))))
-    rights = list(map(dst.table.get, zip(map(g.mapping.get, arrows),
-                                         map(tau, map(src.dom.__getitem__, arrows)))))
-    return lefts == rights and None not in lefts
+# The right side of an undefined naturality square, unequal to the left's None.
+_UNDEFINED = object()
 
 
 def validate_nat(nat: NatTransf) -> ValidationReport:
     """Totality over source identities, component typing, and all naturality squares.
 
-    The squares are first checked in one C-level pass; only a failing
-    transformation is walked in sorted order to report its violations.
+    Each check runs once over all its entries, and only the entries that fail
+    it are sorted and formatted.  Both functors must map every morphism: a
+    partial one raises WiringError naming it (the source functor first) and
+    its least unmapped morphism.
     """
     f, g = nat.source, nat.target
     if f.source != g.source or f.target != g.target:
         raise WiringError("transformation between functors with different sources or targets")
-    if _squares_commute(nat):
-        return ValidationReport.from_violations(())
-    src, dst = f.source, f.target
+    src, dst, comps = f.source, f.target, nat.components
+    for functor in (f, g):
+        unmapped = src.morphisms.difference(functor.mapping)
+        if unmapped:
+            raise WiringError(
+                f"{functor.name} is not a functor: morphism {min(unmapped)} of the source is not mapped")
 
-    violations = []
-    for ident in sorted(src.identities):
-        if ident not in nat.components:
-            violations.append(violation(
-                TOTALITY, (ident,), f"no component at identity {ident}",
-            ))
-    for key in sorted(nat.components):
-        if key not in src.identities:
-            violations.append(violation(
-                TYPING, (key,), f"component key {key} is not an identity of the source",
-            ))
-    for key, value in sorted(nat.components.items()):
-        if value not in dst.morphisms:
-            violations.append(violation(
-                NAME_NOT_FOUND, (key, value), f"component at {key} names unknown morphism {value}",
-            ))
-    if violations:
-        return ValidationReport.from_violations(violations)
+    mismatched = src.identities.symmetric_difference(comps)
+    unknown = set(comps.values()).difference(dst.morphisms)
+    if mismatched or unknown:
+        return ValidationReport.from_violations(
+            [violation(TOTALITY, (ident,), f"no component at identity {ident}")
+             for ident in sorted(mismatched & src.identities)]
+            + [violation(TYPING, (key,), f"component key {key} is not an identity of the source")
+               for key in sorted(mismatched - src.identities)]
+            + [violation(NAME_NOT_FOUND, (key, value), f"component at {key} names unknown morphism {value}")
+               for key, value in sorted(item for item in comps.items() if item[1] in unknown)]
+        )
 
-    for ident, comp in sorted(nat.components.items()):
-        want = (f.mapping[ident], g.mapping[ident])
-        got = (dst.dom[comp], dst.cod[comp])
-        if got != want:
-            violations.append(violation(
+    fmap, gmap = f.mapping, g.mapping
+    mistyped = sorted(
+        (ident, comp) for ident, comp in comps.items()
+        if dst.dom[comp] != fmap[ident] or dst.cod[comp] != gmap[ident]
+    )
+    if mistyped:
+        return ValidationReport.from_violations(
+            violation(
                 TYPING, (ident, comp),
-                f"component at {ident} is typed {got[0]} -> {got[1]}, expected {want[0]} -> {want[1]}",
-            ))
-    if violations:
-        return ValidationReport.from_violations(violations)
+                f"component at {ident} is typed {dst.dom[comp]} -> {dst.cod[comp]}, "
+                f"expected {fmap[ident]} -> {gmap[ident]}",
+            )
+            for ident, comp in mistyped
+        )
 
-    for m in sorted(src.morphisms):
-        tau_dom = nat.components[src.dom[m]]
-        tau_cod = nat.components[src.cod[m]]
-        left = dst.table.get((tau_cod, f.mapping[m]))
-        right = dst.table.get((g.mapping[m], tau_dom))
-        if left is None or right is None or left != right:
-            violations.append(violation(
-                NATURALITY, (m,),
-                f"square at {m} does not commute: {tau_cod}.{f.mapping[m]} vs {g.mapping[m]}.{tau_dom}",
-            ))
-    return ValidationReport.from_violations(violations)
+    # Both sides of every square, tau_cod.F(m) and G(m).tau_dom; an undefined
+    # side reads None on the left and _UNDEFINED on the right, so a square
+    # commutes exactly when its two entries are equal.
+    tau, arrows = comps.__getitem__, src.morphisms
+    lefts = map(dst.table.get, zip(map(tau, map(src.cod.__getitem__, arrows)),
+                                   map(fmap.__getitem__, arrows)))
+    rights = map(dst.table.get, zip(map(gmap.__getitem__, arrows),
+                                    map(tau, map(src.dom.__getitem__, arrows))),
+                 repeat(_UNDEFINED))
+    return ValidationReport.from_violations(
+        violation(
+            NATURALITY, (m,),
+            f"square at {m} does not commute: {tau(src.cod[m])}.{fmap[m]} vs {gmap[m]}.{tau(src.dom[m])}",
+        )
+        for m in sorted(compress(arrows, map(ne, lefts, rights)))
+    )
 
 
 def identity_nat(f: FunctorMap, name: str = "id_t") -> NatTransf:
@@ -380,12 +371,19 @@ def brute_force_equivalence(
 
     Enumerates every functor pair (F, G) with ``functor_search`` and every
     choice of isomorphism components for Id = G.F and Id = F.G, checking
-    naturality directly on the tables.
+    naturality directly on the tables.  CapacityError once it has visited
+    ``BRUTE_FORCE_PAIRS`` pairs without an answer.
     """
     check_cap(max_morphisms, left, right)
-    functors_bwd = list(functor_search(right, left))
+    budget = BRUTE_FORCE_PAIRS
+    # One functor past the budget, so that a list cut short runs the budget
+    # out before it can end the search.
+    functors_bwd = list(islice(functor_search(right, left), budget + 1))
     for fwd in functor_search(left, right):
         for bwd in functors_bwd:
+            if not budget:
+                raise CapacityError(f"brute-force search exceeds {BRUTE_FORCE_PAIRS} functor pairs")
+            budget -= 1
             gf = {m: bwd[fwd[m]] for m in left.morphisms}
             fg = {m: fwd[bwd[m]] for m in right.morphisms}
             tau_components = _find_nat_iso(left, gf)

@@ -1,17 +1,19 @@
 """Functors as morphism-name maps, with variance and category-free composition.
 
 A functor is a single total map between morphism sets; its action on objects
-is just its action on identities.  ``validate_functor`` first checks every
-law in one pass of C-level operations (a key-set equality, a superset test
-on the identities and one list comparison over the whole table, with the
-two factors swapped for a contravariant functor).  Only a map that fails
-that pass is walked in sorted order, as a covariant functor out of the
-opposite category if contravariant, to report its violations.
+is just its action on identities.  ``validate_functor`` checks each law once
+over all its entries: totality, stray keys and unknown names as set
+differences, the identity law as a filter, and the composition law as one
+comparison of two lists over the whole table, with the two factors swapped
+for a contravariant functor.  Only the entries that fail are sorted and
+formatted, each under its key in the covariant view (out of the opposite
+category if contravariant).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import compress
+from operator import itemgetter, ne
 from types import MappingProxyType
 from typing import Mapping
 
@@ -74,65 +76,50 @@ class FunctorMap:
         )
 
 
-def _laws_hold(f: FunctorMap) -> bool:
-    """True iff ``validate_functor`` finds no violation, in one C-level pass.
+def validate_functor(f: FunctorMap) -> ValidationReport:
+    """Totality, identity preservation, and the variance-appropriate composition law."""
+    src, dst, mapping = f.source, f.target, f.mapping
+    mismatched = src.morphisms.symmetric_difference(mapping)
+    unknown = set(mapping.values()).difference(dst.morphisms)
+    if mismatched or unknown:
+        return ValidationReport.from_violations(
+            [violation(TOTALITY, (m,), f"morphism {m} of the source is not mapped")
+             for m in sorted(mismatched & src.morphisms)]
+            + [violation(TYPING, (key,), f"map key {key} is not a morphism of the source")
+               for key in sorted(mismatched - src.morphisms)]
+            + [violation(NAME_NOT_FOUND, (key, value), f"{key} maps to unknown morphism {value}")
+               for key, value in sorted(item for item in mapping.items() if item[1] in unknown)]
+        )
 
-    An image outside the target needs no test of its own: each morphism m is
-    in the table as m.dom(m), whose image composite is then undefined.
-    """
-    src, dst, image = f.source, f.target, f.mapping.__getitem__
-    if not (f.mapping.keys() == src.morphisms and dst.identities.issuperset(map(image, src.identities))):
-        return False
+    image = mapping.__getitem__
+    violations = [
+        violation(IDENTITY_LAW, (ident, image(ident)), f"identity {ident} maps to non-identity {image(ident)}")
+        for ident in sorted(i for i in src.identities if image(i) not in dst.identities)
+    ]
+    # The composition law as two aligned lists over the table: the composite
+    # of the images (None where undefined), and the image of each composite.
     afters, befores = map(itemgetter(0), src.table), map(itemgetter(1), src.table)
     if f.contravariant:
         afters, befores = befores, afters
-    return (list(map(dst.table.get, zip(map(image, afters), map(image, befores))))
-            == list(map(image, src.table.values())))
-
-
-def validate_functor(f: FunctorMap) -> ValidationReport:
-    """Totality, identity preservation, and the variance-appropriate composition law."""
-    if _laws_hold(f):
-        return ValidationReport.from_violations(())
-    violations = []
-    for m in sorted(f.source.morphisms):
-        if m not in f.mapping:
-            violations.append(violation(
-                TOTALITY, (m,), f"morphism {m} of the source is not mapped",
-            ))
-    for key in sorted(f.mapping):
-        if key not in f.source.morphisms:
-            violations.append(violation(
-                TYPING, (key,), f"map key {key} is not a morphism of the source",
-            ))
-    for key, value in sorted(f.mapping.items()):
-        if value not in f.target.morphisms:
-            violations.append(violation(
-                NAME_NOT_FOUND, (key, value), f"{key} maps to unknown morphism {value}",
-            ))
-    if violations:
-        return ValidationReport.from_violations(violations)
-
-    for ident in sorted(f.source.identities):
-        if f.mapping[ident] not in f.target.identities:
-            violations.append(violation(
-                IDENTITY_LAW, (ident, f.mapping[ident]),
-                f"identity {ident} maps to non-identity {f.mapping[ident]}",
-            ))
-
-    cov = f.covariant_view()
-    for (after, before), result in sorted(cov.source.table.items()):
-        image = f.target.table.get((f.mapping[after], f.mapping[before]))
-        if image is None:
-            violations.append(violation(
-                COMPOSITION_LAW, (after, before),
-                f"{after}.{before} is defined but its image composition is not",
-            ))
-        elif image != f.mapping[result]:
-            violations.append(violation(
-                COMPOSITION_LAW, (after, before, result),
-                f"image of {after}.{before} is {image}, expected {f.mapping[result]}",
-            ))
+    got = list(map(dst.table.get, zip(map(image, afters), map(image, befores))))
+    want = list(map(image, src.table.values()))
+    if got != want:
+        # Report each failing entry under its key in the covariant view,
+        # where a contravariant functor's factors are swapped.
+        failing = compress(zip(src.table, got, src.table.values()), map(ne, got, want))
+        if f.contravariant:
+            failing = (((before, after), composite, result) for (after, before), composite, result in failing)
+        for (after, before), composite, result in sorted(failing):
+            if composite is None:
+                violations.append(violation(
+                    COMPOSITION_LAW, (after, before),
+                    f"{after}.{before} is defined but its image composition is not",
+                ))
+            else:
+                violations.append(violation(
+                    COMPOSITION_LAW, (after, before, result),
+                    f"image of {after}.{before} is {composite}, expected {image(result)}",
+                ))
     return ValidationReport.from_violations(violations)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping
 
-from .core import ObjlessCategory, check_names
+from .core import ObjlessCategory, check_count, check_names
 from .errors import GeneratorError, InvalidCategoryError, NotMonotoneError
 from .standard import StdCategory
 
@@ -99,6 +99,7 @@ def gen_cyclic(n: int, prefix: str = "g") -> ObjlessCategory:
     """The cyclic group of order n as a one-object category."""
     if n < 1:
         raise GeneratorError("cyclic order must be >= 1")
+    check_count(n)  # before the n * n table
     names = [f"{prefix}{i}" for i in range(n)]
     table = {
         (names[i], names[j]): names[(i + j) % n]
@@ -144,6 +145,9 @@ def gen_finset(max_size: int, dup: Iterable[int] = ()) -> StdCategory:
         while copy in sizes:
             copy += "b"
         sizes[copy] = s
+    # n ** m functions from an m-set to an n-set (one when m == 0), counted
+    # before any is built: the table grows with the square of their number.
+    check_count(sum(n ** m for m in sizes.values() for n in sizes.values()))
 
     arrows: dict[str, tuple[str, str]] = {}
     images: dict[str, tuple[int, ...]] = {}

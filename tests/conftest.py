@@ -234,8 +234,9 @@ def reference_validate_objectless(morphisms: Iterable[str], table: TableLike) ->
     return ValidationReport.from_violations(violations)
 
 
-# The sorted-walk functor and transformation validators that the one-pass
-# checks in front of them replaced, kept as their references.
+# The sorted-walk functor and transformation validators, kept as references
+# for the one-pass validators that check each law once over all its entries
+# and sort and format only the entries that fail it.
 def reference_validate_functor(f: FunctorMap) -> ValidationReport:
     """Totality, identity preservation, and the variance-appropriate composition law."""
     violations = []

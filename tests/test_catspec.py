@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from arrowcat.catspec import (
 from arrowcat.cli import main
 from arrowcat.core import validate_objectless
 from arrowcat.equivalence import identity_nat
-from arrowcat.errors import GeneratorError, InvalidCategoryError
+from arrowcat.errors import CapacityError, GeneratorError, InvalidCategoryError
 from arrowcat.functors import functor_identity
 from arrowcat.generators import (
     Poset,
@@ -366,6 +367,16 @@ def test_gen_cyclic_is_group():
     z4 = gen_cyclic(4)
     assert len(z4.identities) == 1
     assert len(z4.morphisms) == 4
+
+
+def test_generators_check_the_cap_before_the_table():
+    # finset(5) would build 18,705,846 entries, cyclic(4097) 16,785,409.
+    start = time.process_time()
+    with pytest.raises(CapacityError, match="5705 morphisms exceeds cap of 4096"):
+        gen_finset(5)
+    with pytest.raises(CapacityError, match="4097 morphisms exceeds cap of 4096"):
+        gen_cyclic(4097)
+    assert time.process_time() - start < 1
 
 
 def test_gen_random_deterministic():

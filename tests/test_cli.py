@@ -230,6 +230,18 @@ def test_partial_functor_is_a_wiring_error(capsys, tmp_path):
         assert (code, out, err) == (2, "", expected), argv
 
 
+def test_partial_functor_of_a_nat_is_a_wiring_error(capsys, tmp_path):
+    # FG and IdQ both lose q0; eps: FG => IdQ names its source functor first.
+    path = _galois_without(tmp_path, "map q0 -> q0;")
+    reason = "FG is not a functor: morphism q0 of the source is not mapped"
+    assert run(capsys, "nat-check", path, "--nat", "eps") == (2, "", reason + "\n")
+    code, out, err = run(capsys, "check", path, "--json")
+    entities = {e["name"]: e for e in json.loads(out)["entities"]}
+    assert (code, err) == (1, "")
+    assert entities["eps"] == {"kind": "nat", "name": "eps", "ok": False, "violations": [], "skipped": reason}
+    assert entities["eta"]["ok"] and not entities["IdQ"]["ok"]
+
+
 def test_partial_left_adjoint_is_a_wiring_error(capsys, tmp_path):
     path = _galois_without(tmp_path, "map p0_le_p1 -> q0_le_q2;")
     expected = "F is not a functor: morphism p0_le_p1 of the source is not mapped\n"
@@ -290,3 +302,4 @@ def test_usage_errors(capsys):
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys)[0] == 2
     assert run(capsys, "check", "/nonexistent/file.cat")[0] == 2
+    assert run(capsys, "generate", "finset", "--max-size", "5") == (2, "", "5705 morphisms exceeds cap of 4096\n")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import time
 from itertools import cycle
 
 import pytest
@@ -24,7 +25,9 @@ from arrowcat.equivalence import (
 from arrowcat.core import ObjlessCategory
 from arrowcat.errors import CapacityError, NameNotFoundError, NotAnIdentityError
 from arrowcat.functors import FunctorMap, functor_identity, validate_functor
-from arrowcat.generators import disjoint_union, gen_cyclic, gen_finset, gen_random, gen_walking_iso
+from arrowcat.generators import (
+    disjoint_union, gen_cyclic, gen_discrete, gen_finset, gen_random, gen_walking_iso,
+)
 from arrowcat.standard import equal_up_to_renaming, to_objectless, to_standard
 
 from conftest import brute_inverses, brute_iso_related
@@ -341,6 +344,13 @@ def test_brute_force_capacity():
     fd = fx.finset_dup()
     with pytest.raises(CapacityError):
         brute_force_equivalence(fd, fd)
+    # Far under the size cap, but 3,125 functors each way: the pair budget
+    # stops it within seconds, where the scan of 9.8 M pairs takes minutes.
+    start = time.process_time()
+    with pytest.raises(CapacityError, match="100000 functor pairs"):
+        brute_force_equivalence(gen_discrete(5), gen_discrete(5))
+    assert time.process_time() - start < 10
+    assert brute_force_equivalence(gen_discrete(4), gen_discrete(3)) is None
 
 
 # Swapping the identity g0 of the cyclic group of order 3 with g1 is a
