@@ -35,7 +35,7 @@ from .report import (
     TOTALITY,
     TYPING,
     ValidationReport,
-    violation,
+    format_violation,
 )
 
 
@@ -129,29 +129,24 @@ def validate_nat(nat: NatTransf) -> ValidationReport:
     mismatched = src.identities.symmetric_difference(comps)
     unknown = set(comps.values()).difference(dst.morphisms)
     if mismatched or unknown:
-        return ValidationReport.from_violations(
-            [violation(TOTALITY, (ident,), f"no component at identity {ident}")
+        return ValidationReport.from_witnesses(
+            [(format_violation, TOTALITY, (ident,), "no component at identity {}", ident)
              for ident in sorted(mismatched & src.identities)]
-            + [violation(TYPING, (key,), f"component key {key} is not an identity of the source")
+            + [(format_violation, TYPING, (key,), "component key {} is not an identity of the source", key)
                for key in sorted(mismatched - src.identities)]
-            + [violation(NAME_NOT_FOUND, (key, value), f"component at {key} names unknown morphism {value}")
+            + [(format_violation, NAME_NOT_FOUND, (key, value), "component at {} names unknown morphism {}", key, value)
                for key, value in sorted(item for item in comps.items() if item[1] in unknown)]
         )
 
     fmap, gmap = f.mapping, g.mapping
-    mistyped = sorted(
-        (ident, comp) for ident, comp in comps.items()
+    mistyped = [
+        (format_violation, TYPING, (ident, comp), "component at {} is typed {} -> {}, expected {} -> {}",
+         ident, dst.dom[comp], dst.cod[comp], fmap[ident], gmap[ident])
+        for ident, comp in sorted(comps.items())
         if dst.dom[comp] != fmap[ident] or dst.cod[comp] != gmap[ident]
-    )
+    ]
     if mistyped:
-        return ValidationReport.from_violations(
-            violation(
-                TYPING, (ident, comp),
-                f"component at {ident} is typed {dst.dom[comp]} -> {dst.cod[comp]}, "
-                f"expected {fmap[ident]} -> {gmap[ident]}",
-            )
-            for ident, comp in mistyped
-        )
+        return ValidationReport.from_witnesses(mistyped)
 
     # Both sides of every square, tau_cod.F(m) and G(m).tau_dom; an undefined
     # side reads None on the left and _UNDEFINED on the right, so a square
@@ -162,13 +157,11 @@ def validate_nat(nat: NatTransf) -> ValidationReport:
     rights = map(dst.table.get, zip(map(gmap.__getitem__, arrows),
                                     map(tau, map(src.dom.__getitem__, arrows))),
                  repeat(_UNDEFINED))
-    return ValidationReport.from_violations(
-        violation(
-            NATURALITY, (m,),
-            f"square at {m} does not commute: {tau(src.cod[m])}.{fmap[m]} vs {gmap[m]}.{tau(src.dom[m])}",
-        )
+    return ValidationReport.from_witnesses([
+        (format_violation, NATURALITY, (m,), "square at {} does not commute: {}.{} vs {}.{}",
+         m, tau(src.cod[m]), fmap[m], gmap[m], tau(src.dom[m]))
         for m in sorted(compress(arrows, map(ne, lefts, rights)))
-    )
+    ])
 
 
 def identity_nat(f: FunctorMap, name: str = "id_t") -> NatTransf:

@@ -5,9 +5,9 @@ is just its action on identities.  ``validate_functor`` checks each law once
 over all its entries: totality, stray keys and unknown names as set
 differences, the identity law as a filter, and the composition law as one
 comparison of two lists over the whole table, with the two factors swapped
-for a contravariant functor.  Only the entries that fail are sorted and
-formatted, each under its key in the covariant view (out of the opposite
-category if contravariant).
+for a contravariant functor.  Only the entries that fail are sorted, each
+under its key in the covariant view (out of the opposite category if
+contravariant), and only those a report keeps are formatted.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .report import (
     TOTALITY,
     TYPING,
     ValidationReport,
-    violation,
+    format_violation,
 )
 
 COVARIANT = "covariant"
@@ -82,18 +82,19 @@ def validate_functor(f: FunctorMap) -> ValidationReport:
     mismatched = src.morphisms.symmetric_difference(mapping)
     unknown = set(mapping.values()).difference(dst.morphisms)
     if mismatched or unknown:
-        return ValidationReport.from_violations(
-            [violation(TOTALITY, (m,), f"morphism {m} of the source is not mapped")
+        return ValidationReport.from_witnesses(
+            [(format_violation, TOTALITY, (m,), "morphism {} of the source is not mapped", m)
              for m in sorted(mismatched & src.morphisms)]
-            + [violation(TYPING, (key,), f"map key {key} is not a morphism of the source")
+            + [(format_violation, TYPING, (key,), "map key {} is not a morphism of the source", key)
                for key in sorted(mismatched - src.morphisms)]
-            + [violation(NAME_NOT_FOUND, (key, value), f"{key} maps to unknown morphism {value}")
+            + [(format_violation, NAME_NOT_FOUND, (key, value), "{} maps to unknown morphism {}", key, value)
                for key, value in sorted(item for item in mapping.items() if item[1] in unknown)]
         )
 
     image = mapping.__getitem__
-    violations = [
-        violation(IDENTITY_LAW, (ident, image(ident)), f"identity {ident} maps to non-identity {image(ident)}")
+    found = [
+        (format_violation, IDENTITY_LAW, (ident, image(ident)),
+         "identity {} maps to non-identity {}", ident, image(ident))
         for ident in sorted(i for i in src.identities if image(i) not in dst.identities)
     ]
     # The composition law as two aligned lists over the table: the composite
@@ -109,18 +110,14 @@ def validate_functor(f: FunctorMap) -> ValidationReport:
         failing = compress(zip(src.table, got, src.table.values()), map(ne, got, want))
         if f.contravariant:
             failing = (((before, after), composite, result) for (after, before), composite, result in failing)
-        for (after, before), composite, result in sorted(failing):
-            if composite is None:
-                violations.append(violation(
-                    COMPOSITION_LAW, (after, before),
-                    f"{after}.{before} is defined but its image composition is not",
-                ))
-            else:
-                violations.append(violation(
-                    COMPOSITION_LAW, (after, before, result),
-                    f"image of {after}.{before} is {composite}, expected {image(result)}",
-                ))
-    return ValidationReport.from_violations(violations)
+        found += [
+            (format_violation, COMPOSITION_LAW, (after, before),
+             "{}.{} is defined but its image composition is not", after, before) if composite is None else
+            (format_violation, COMPOSITION_LAW, (after, before, result),
+             "image of {}.{} is {}, expected {}", after, before, composite, image(result))
+            for (after, before), composite, result in sorted(failing)
+        ]
+    return ValidationReport.from_witnesses(found)
 
 
 def require_functor(f: FunctorMap) -> None:

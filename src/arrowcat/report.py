@@ -70,3 +70,9 @@ class ValidationReport:
 
 def violation(kind: str, witnesses: Iterable[str], message: str) -> Violation:
     return Violation(kind=kind, witnesses=tuple(witnesses)[:3], message=message)
+
+
+def format_violation(kind: str, witnesses: tuple[str, ...], template: str, *args: str) -> Violation:
+    """A violation with the message ``template.format(*args)``: as the ``make`` of a
+    ``(make, *args)`` witness, only the violations a report keeps are formatted."""
+    return violation(kind, witnesses, template.format(*args))

@@ -14,12 +14,12 @@ import dataclasses
 
 import pytest
 
-from arrowcat import fixtures as fx
+from arrowcat import fixtures as fx, report
 from arrowcat.adjunction import poset_adjunction, poset_functor
 from arrowcat.equivalence import NatTransf, identity_nat, skeleton, validate_nat
 from arrowcat.errors import WiringError
 from arrowcat.functors import CONTRAVARIANT, FunctorMap, functor_identity, validate_functor
-from arrowcat.generators import gen_finset
+from arrowcat.generators import gen_cyclic, gen_discrete, gen_finset
 from arrowcat.standard import to_objectless
 
 from conftest import reference_validate_functor, reference_validate_nat
@@ -163,3 +163,28 @@ def test_nat_reports_match_reference_on_single_entry_edits(name):
     for (got, want), e in zip(outcomes, edited):
         assert got == want, (e.components, dict(e.target.mapping))
     assert sum(not (isinstance(got, tuple) or got.ok) for got, _ in outcomes) > len(outcomes) // 4
+
+
+def test_reports_format_only_the_violations_they_keep(monkeypatch):
+    made = []
+    original = report.violation
+    monkeypatch.setattr(report, "violation", lambda *args: made.append(args) or original(*args))
+    cyclic, discrete = gen_cyclic(120), gen_discrete(150)
+    # Every non-identity of cyclic(120) sent to g1: 14,161 of the 14,400
+    # composition entries fail, and so do 119 naturality squares of a
+    # transformation into the constant functor; each of the 150 components
+    # of a discrete category's identity to itself is mistyped.
+    collapse = FunctorMap(source=cyclic, target=cyclic, mapping={m: "g1" for m in cyclic.morphisms} | {"g0": "g0"})
+    constant = FunctorMap(source=cyclic, target=cyclic, mapping={m: "g0" for m in cyclic.morphisms})
+    identity = functor_identity(discrete)
+    shifted = {f"x{i}": f"x{(i + 1) % 150}" for i in range(150)}
+    cases = [
+        (validate_functor, reference_validate_functor, collapse, 14_161),
+        (validate_nat, reference_validate_nat, NatTransf(functor_identity(cyclic), constant, {"g0": "g1"}), 119),
+        (validate_nat, reference_validate_nat, NatTransf(identity, identity, shifted), 150),
+    ]
+    for validate, reference, subject, total in cases:
+        made.clear()
+        got = validate(subject)
+        assert (got.total, len(made)) == (total, 100)
+        assert got == reference(subject)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arrowcat import core, fixtures as fx
+from arrowcat import catspec, core, fixtures as fx
 from arrowcat.catspec import (
     CatspecDocument,
     CatspecError,
@@ -194,6 +194,8 @@ _FUZZ_PIECES = st.sampled_from([
     " ", "\n", "\r", "\t", "\x0b", "#", "{", "}", ":", ";", ",", ".", "=", "[", "]", "-", ">",
     "->", "=>", "@", "é", "٣", "9", "_", "x", "A", "id_A", "objless", "category", "functor", "nat",
     "arrows", "objects", "arrow", "id", "compose", "map", "component", "contravariant",
+    # Whole statements, so statement tokens land in every block and list.
+    "compose: a . b = c;", "compose:a.b=c;", "compose: a . b = c", "compose: compose . a = a;",
 ])
 
 
@@ -215,7 +217,56 @@ def test_parse_fuzz_raises_only_catspec_errors_with_true_spans(text):
     assert isinstance(doc, CatspecDocument)
 
 
-def _chain_file(tmp_path) -> Path:
+def _outcome(text: str):
+    """What ``parse`` makes of ``text``: the serialized document and its spans,
+    or each diagnostic with its offset."""
+    try:
+        doc = parse(text)
+    except CatspecError as exc:
+        return [(str(d), d.offset) for d in exc.diagnostics]
+    return serialize(doc), doc.source_spans
+
+
+_EDIT_INSERTS = (";", "}", ":", ".", "=", "#c\n", "é", "1x")
+
+
+def _single_edits(text: str):
+    """``text``, and each text one edit away: a token deleted, or one of
+    ``_EDIT_INSERTS`` inserted before a token or at the end."""
+    yield text
+    tokens, _ = catspec._lex(text, catspec._TOKEN_RE, 0, len(text))
+    for value, offset in tokens:
+        if value:
+            yield text[:offset] + text[offset + len(value):]
+        for insert in _EDIT_INSERTS:
+            yield text[:offset] + insert + text[offset:]
+
+
+@pytest.mark.parametrize("name", [p.name for p in sorted(FIXTURES.glob("*.cat"))] + ["chain"])
+def test_statement_tokens_parse_as_the_token_path_does(name, monkeypatch):
+    # The statement alternative is a shortcut only: every document, span and
+    # diagnostic must be the one the plain token regex gives.  Each input is
+    # cut to its first 30 lines: past them the long fixtures repeat the same
+    # statements (finsetdup.cat has 260 compose lines), and the chain file
+    # has every block kind in its 28.
+    text = serialize(_chain_doc()) if name == "chain" else (FIXTURES / name).read_text(encoding="utf-8")
+    texts = list(_single_edits("".join(text.splitlines(keepends=True)[:30])))
+    with_statements = [_outcome(t) for t in texts]
+    monkeypatch.setattr(catspec, "_LEX_RE", catspec._TOKEN_RE)
+    for edited, outcome in zip(texts, with_statements):
+        assert outcome == _outcome(edited), edited
+
+
+def test_a_run_of_hashes_after_compose_does_not_backtrack():
+    # A failed statement match must not try each way of splitting the run of
+    # '#' into comments: there are 2**25 of them here, some seconds of work.
+    start = time.process_time()
+    with pytest.raises(CatspecError, match="expected ':', found 'x'"):
+        parse("objless A {\n  compose " + "#" * 26 + "\n x . x = x;\n}\n")
+    assert time.process_time() - start < 1
+
+
+def _chain_doc() -> CatspecDocument:
     """A 3-chain C with its identity functor I and identity transformation t."""
     cat = gen_poset(Poset.chain(["c0", "c1", "c2"]))
     identity = functor_identity(cat)
@@ -223,8 +274,12 @@ def _chain_file(tmp_path) -> Path:
     doc.categories["C"] = objless_decl("C", cat)
     doc.functors["I"] = functor_decl("I", "C", "C", identity)
     doc.nats["t"] = nat_decl("t", "I", "I", identity_nat(identity))
+    return doc
+
+
+def _chain_file(tmp_path) -> Path:
     path = tmp_path / "chain.cat"
-    path.write_text(serialize(doc), encoding="utf-8")
+    path.write_text(serialize(_chain_doc()), encoding="utf-8")
     return path
 
 
