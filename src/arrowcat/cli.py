@@ -150,17 +150,16 @@ def _cmd_identities(args, out: _Output) -> int:
 def _cmd_homs(args, out: _Output) -> int:
     doc = _read_document(args.file)
     cat = doc.objectless(args.cat)
-    pairs = []
     if args.src or args.dst:
         if not (args.src and args.dst):
             raise WiringError("--src and --dst must be given together")
-        pairs.append((args.src, args.dst))
+        classes = {(args.src, args.dst): sorted(cat.hom_class(args.src, args.dst))}
     else:
+        by_hom = cat.hom_classes()
         idents = sorted(cat.identities)
-        pairs.extend((a, b) for a in idents for b in idents)
+        classes = {(a, b): by_hom.get((a, b), []) for a in idents for b in idents}
     homs = {}
-    for src, dst in pairs:
-        members = sorted(cat.hom_class(src, dst))
+    for (src, dst), members in classes.items():
         homs[f"{src} -> {dst}"] = members
         out.say(f"{src} -> {dst}: {', '.join(members) if members else '(empty)'}")
     out.record["homs"] = homs
@@ -424,124 +423,81 @@ def _cmd_generate(args, out: _Output) -> int:
     return OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags: str, **kwargs) -> tuple:
+    return flags, kwargs
+
+
+_FILE = _arg("file")
+_CAT = _arg("--cat", required=True)
+_LEFT, _RIGHT = _arg("--left", required=True), _arg("--right", required=True)
+_UNIT, _COUNIT = _arg("--unit", required=True), _arg("--counit", required=True)
+_SEED = _arg("--seed", type=int, default=0)
+_MAX_MORPHISMS = _arg("--max-morphisms", type=int)
+
+# Each command: its handler, its help line, and its arguments after --json.
+_COMMANDS = {
+    "check": (_cmd_check, "validate every entity in a catspec file", [_FILE]),
+    "identities": (_cmd_identities, "list the inferred identities of a category", [_FILE, _CAT]),
+    "homs": (_cmd_homs, "list hom classes of a category", [_FILE, _CAT, _arg("--src"), _arg("--dst")]),
+    "skeleton": (_cmd_skeleton, "emit a skeleton with inclusion/retraction/witness", [_FILE, _CAT, _SEED]),
+    "iso": (_cmd_iso, "search for a category isomorphism", [_FILE, _LEFT, _RIGHT, _MAX_MORPHISMS]),
+    "equiv": (_cmd_equiv, "decide equivalence and emit a witness", [
+        _FILE, _LEFT, _RIGHT, _arg("--brute-force", action="store_true"), _SEED, _MAX_MORPHISMS]),
+    "functor-check": (_cmd_validate, "validate a functor", [_FILE, _arg("--functor", required=True)]),
+    "nat-check": (_cmd_validate, "validate a natural transformation", [_FILE, _arg("--nat", required=True)]),
+    "adjoint-check": (_cmd_adjoint_check, "verify an adjunction candidate", [
+        _FILE, _LEFT, _RIGHT, _UNIT, _COUNIT,
+        _arg("--mode", choices=[STANDARD, PAPER_LITERAL], default=STANDARD)]),
+    "limits": (_cmd_limits, "compute limits of a category or check preservation", [
+        _FILE, _arg("--cat"), _arg("--functor"),
+        _arg("--scope", help="comma-separated subset of terminal,products,equalizers")]),
+    "admissible": (_cmd_admissible, "adjunction plus left-exactness of the left adjoint", [
+        _FILE, _LEFT, _RIGHT, _UNIT, _COUNIT, _arg("--scope")]),
+    "convert": (_cmd_convert, "rewrite categories between objectless and standard form", [
+        _FILE, _arg("--to", choices=["objectless", "standard"], required=True), _arg("--cat")]),
+    "generate": (_cmd_generate, "emit a generated category as catspec", [
+        _arg("kind", choices=["finset", "discrete", "walking-iso", "chain", "cyclic", "random"]),
+        _arg("--name"), _arg("--max-size", type=int, default=2), _arg("--dup", type=int, action="append"),
+        _arg("--n", type=int, default=2), _arg("--prefix", default="c"), _SEED,
+        _arg("--max-morphisms", type=int, default=16)]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for ``command`` alone when it names one, else for every command.
+
+    Help, usage and error text are the same either way: the one-command parser
+    still names every command in its usage line.  It keeps argparse's default
+    command metavar otherwise, as an explicit one would rename the command
+    argument in the missing- and unknown-command errors.
+    """
+    one = command in _COMMANDS
     parser = argparse.ArgumentParser(
         prog="arrowcat",
         description="Finite arrow-only categories: validation, skeletons, equivalence, adjunctions.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}" if one else None)
+    for name, (_, help_line, arguments) in _COMMANDS.items():
+        if one and name != command:
+            continue
+        p = sub.add_parser(name, help=help_line)
         p.add_argument("--json", action="store_true", help="emit one JSON report object")
-        return p
-
-    p = add("check", help="validate every entity in a catspec file")
-    p.add_argument("file")
-
-    p = add("identities", help="list the inferred identities of a category")
-    p.add_argument("file")
-    p.add_argument("--cat", required=True)
-
-    p = add("homs", help="list hom classes of a category")
-    p.add_argument("file")
-    p.add_argument("--cat", required=True)
-    p.add_argument("--src")
-    p.add_argument("--dst")
-
-    p = add("skeleton", help="emit a skeleton with inclusion/retraction/witness")
-    p.add_argument("file")
-    p.add_argument("--cat", required=True)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("iso", help="search for a category isomorphism")
-    p.add_argument("file")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--max-morphisms", type=int)
-
-    p = add("equiv", help="decide equivalence and emit a witness")
-    p.add_argument("file")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--brute-force", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-morphisms", type=int)
-
-    p = add("functor-check", help="validate a functor")
-    p.add_argument("file")
-    p.add_argument("--functor", required=True)
-
-    p = add("nat-check", help="validate a natural transformation")
-    p.add_argument("file")
-    p.add_argument("--nat", required=True)
-
-    p = add("adjoint-check", help="verify an adjunction candidate")
-    p.add_argument("file")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--unit", required=True)
-    p.add_argument("--counit", required=True)
-    p.add_argument("--mode", choices=[STANDARD, PAPER_LITERAL], default=STANDARD)
-
-    p = add("limits", help="compute limits of a category or check preservation")
-    p.add_argument("file")
-    p.add_argument("--cat")
-    p.add_argument("--functor")
-    p.add_argument("--scope", help="comma-separated subset of terminal,products,equalizers")
-
-    p = add("admissible", help="adjunction plus left-exactness of the left adjoint")
-    p.add_argument("file")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--unit", required=True)
-    p.add_argument("--counit", required=True)
-    p.add_argument("--scope")
-
-    p = add("convert", help="rewrite categories between objectless and standard form")
-    p.add_argument("file")
-    p.add_argument("--to", choices=["objectless", "standard"], required=True)
-    p.add_argument("--cat")
-
-    p = add("generate", help="emit a generated category as catspec")
-    p.add_argument("kind", choices=["finset", "discrete", "walking-iso", "chain", "cyclic", "random"])
-    p.add_argument("--name")
-    p.add_argument("--max-size", type=int, default=2)
-    p.add_argument("--dup", type=int, action="append")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--prefix", default="c")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-morphisms", type=int, default=16)
-
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "identities": _cmd_identities,
-    "homs": _cmd_homs,
-    "skeleton": _cmd_skeleton,
-    "iso": _cmd_iso,
-    "equiv": _cmd_equiv,
-    "functor-check": _cmd_validate,
-    "nat-check": _cmd_validate,
-    "adjoint-check": _cmd_adjoint_check,
-    "limits": _cmd_limits,
-    "admissible": _cmd_admissible,
-    "convert": _cmd_convert,
-    "generate": _cmd_generate,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     out = _Output(args.command, getattr(args, "json", False))
     try:
-        code = _HANDLERS[args.command](args, out)
+        code = _COMMANDS[args.command][0](args, out)
     except CatspecError as exc:
         for diagnostic in exc.diagnostics:
             print(diagnostic, file=sys.stderr)

@@ -313,6 +313,14 @@ class ObjlessCategory:
         self._require_identity(dst)
         return frozenset(m for m in self.morphisms if self.dom[m] == src and self.cod[m] == dst)
 
+    def hom_classes(self) -> dict[tuple[str, str], list[str]]:
+        """Every nonempty hom class in one pass, keyed by (domain, codomain)
+        identity, with its morphisms in name order."""
+        homs: dict[tuple[str, str], list[str]] = {}
+        for m in sorted(self.morphisms):
+            homs.setdefault((self.dom[m], self.cod[m]), []).append(m)
+        return homs
+
     def composition_profile(self, ident: str) -> CompositionProfile:
         self._require_identity(ident)
         return CompositionProfile(

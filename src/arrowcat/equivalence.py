@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from heapq import nsmallest
 from itertools import compress, islice, product, repeat
 from operator import ne
 from types import MappingProxyType
@@ -30,6 +31,7 @@ from .functors import (
     validate_functor,
 )
 from .report import (
+    MAX_VIOLATIONS,
     NAME_NOT_FOUND,
     NATURALITY,
     TOTALITY,
@@ -111,10 +113,11 @@ _UNDEFINED = object()
 def validate_nat(nat: NatTransf) -> ValidationReport:
     """Totality over source identities, component typing, and all naturality squares.
 
-    Each check runs once over all its entries, and only the entries that fail
-    it are sorted and formatted.  Both functors must map every morphism: a
-    partial one raises WiringError naming it (the source functor first) and
-    its least unmapped morphism.
+    Each check runs once over all its entries; the failing squares are
+    counted, and only the first ``MAX_VIOLATIONS`` of them are picked and
+    formatted.  Both functors must map every morphism: a partial one raises
+    WiringError naming it (the source functor first) and its least unmapped
+    morphism.
     """
     f, g = nat.source, nat.target
     if f.source != g.source or f.target != g.target:
@@ -157,11 +160,12 @@ def validate_nat(nat: NatTransf) -> ValidationReport:
     rights = map(dst.table.get, zip(map(gmap.__getitem__, arrows),
                                     map(tau, map(src.dom.__getitem__, arrows))),
                  repeat(_UNDEFINED))
+    mismatched = list(map(ne, lefts, rights))
     return ValidationReport.from_witnesses([
         (format_violation, NATURALITY, (m,), "square at {} does not commute: {}.{} vs {}.{}",
          m, tau(src.cod[m]), fmap[m], gmap[m], tau(src.dom[m]))
-        for m in sorted(compress(arrows, map(ne, lefts, rights)))
-    ])
+        for m in nsmallest(MAX_VIOLATIONS, compress(arrows, mismatched))
+    ], mismatched.count(True))
 
 
 def identity_nat(f: FunctorMap, name: str = "id_t") -> NatTransf:

@@ -5,13 +5,14 @@ is just its action on identities.  ``validate_functor`` checks each law once
 over all its entries: totality, stray keys and unknown names as set
 differences, the identity law as a filter, and the composition law as one
 comparison of two lists over the whole table, with the two factors swapped
-for a contravariant functor.  Only the entries that fail are sorted, each
-under its key in the covariant view (out of the opposite category if
-contravariant), and only those a report keeps are formatted.
+for a contravariant functor.  The entries that fail are counted, and only the
+first ``MAX_VIOLATIONS`` of them, each under its key in the covariant view
+(out of the opposite category if contravariant), are picked and formatted.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import nsmallest
 from itertools import compress
 from operator import itemgetter, ne
 from types import MappingProxyType
@@ -22,6 +23,7 @@ from .errors import WiringError
 from .report import (
     COMPOSITION_LAW,
     IDENTITY_LAW,
+    MAX_VIOLATIONS,
     NAME_NOT_FOUND,
     TOTALITY,
     TYPING,
@@ -104,20 +106,24 @@ def validate_functor(f: FunctorMap) -> ValidationReport:
         afters, befores = befores, afters
     got = list(map(dst.table.get, zip(map(image, afters), map(image, befores))))
     want = list(map(image, src.table.values()))
+    total = len(found)
     if got != want:
-        # Report each failing entry under its key in the covariant view,
-        # where a contravariant functor's factors are swapped.
-        failing = compress(zip(src.table, got, src.table.values()), map(ne, got, want))
-        if f.contravariant:
-            failing = (((before, after), composite, result) for (after, before), composite, result in failing)
-        found += [
-            (format_violation, COMPOSITION_LAW, (after, before),
-             "{}.{} is defined but its image composition is not", after, before) if composite is None else
-            (format_violation, COMPOSITION_LAW, (after, before, result),
-             "image of {}.{} is {}, expected {}", after, before, composite, image(result))
-            for (after, before), composite, result in sorted(failing)
-        ]
-    return ValidationReport.from_witnesses(found)
+        mismatched = list(map(ne, got, want))
+        total += mismatched.count(True)
+        # Pick the failing entries by their key in the covariant view, where
+        # a contravariant functor's factors are swapped; only the picked ones
+        # are composed again and formatted.
+        keys = compress(src.table, mismatched)
+        swap = f.contravariant
+        for after, before in nsmallest(MAX_VIOLATIONS, ((b, a) for a, b in keys) if swap else keys):
+            composite = dst.table.get((image(after), image(before)))
+            result = src.table[(before, after) if swap else (after, before)]
+            found.append(
+                (format_violation, COMPOSITION_LAW, (after, before),
+                 "{}.{} is defined but its image composition is not", after, before) if composite is None else
+                (format_violation, COMPOSITION_LAW, (after, before, result),
+                 "image of {}.{} is {}, expected {}", after, before, composite, image(result)))
+    return ValidationReport.from_witnesses(found, total)
 
 
 def require_functor(f: FunctorMap) -> None:

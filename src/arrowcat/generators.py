@@ -45,16 +45,19 @@ class Poset:
     def from_covers(cls, elements: Iterable[str], covers: Iterable[tuple[str, str]]) -> "Poset":
         """Build from any generating pairs; the reflexive-transitive closure is taken."""
         elements = tuple(elements)
-        leq = {(x, x) for x in elements}
-        leq.update(covers)
-        changed = True
-        while changed:
-            changed = False
-            for (x, y) in list(leq):
-                for (y2, z) in list(leq):
-                    if y2 == y and (x, z) not in leq:
-                        leq.add((x, z))
-                        changed = True
+        above: dict[str, set[str]] = {x: set() for x in elements}
+        for x, y in covers:
+            above.setdefault(x, set()).add(y)
+        leq = set()
+        for x in above:
+            # The up-set of x: everything reachable from x along the covers.
+            up, todo = {x}, [x]
+            while todo:
+                for y in above.get(todo.pop(), ()):
+                    if y not in up:
+                        up.add(y)
+                        todo.append(y)
+            leq.update((x, y) for y in up)
         return cls(elements=elements, leq=frozenset(leq))
 
     @classmethod
@@ -72,14 +75,20 @@ def poset_arrow(x: str, y: str) -> str:
 
 
 def gen_poset(poset: Poset) -> ObjlessCategory:
-    """The thin category of a poset: one arrow per related pair."""
-    morphisms = [poset_arrow(x, y) for (x, y) in poset.leq]
-    table = {}
-    for (x, y) in poset.leq:
-        for (y2, z) in poset.leq:
-            if y2 == y:
-                table[(poset_arrow(y, z), poset_arrow(x, y))] = poset_arrow(x, z)
-    return ObjlessCategory.build(morphisms, table)
+    """The thin category of a poset: one arrow per related pair.
+
+    Each arrow is named once, so the morphisms and every table key and value
+    share one string object per arrow.
+    """
+    arrow = {(x, y): poset_arrow(x, y) for (x, y) in poset.leq}
+    above: dict[str, list[str]] = {}
+    for x, y in poset.leq:
+        above.setdefault(x, []).append(y)
+    table = {
+        (arrow[y, z], arrow[x, y]): arrow[x, z]
+        for (x, y) in poset.leq for z in above[y]
+    }
+    return ObjlessCategory.build(arrow.values(), table)
 
 
 def gen_monoid(table: Mapping[tuple[str, str], str]) -> ObjlessCategory:

@@ -117,10 +117,7 @@ class LimitsReport:
 
 
 def _parallel_pairs(cat: ObjlessCategory):
-    by_hom: dict[tuple[str, str], list[str]] = {}
-    for m in sorted(cat.morphisms):
-        by_hom.setdefault((cat.dom[m], cat.cod[m]), []).append(m)
-    for _, members in sorted(by_hom.items()):
+    for _, members in sorted(cat.hom_classes().items()):
         yield from combinations_with_replacement(members, 2)
 
 

@@ -46,11 +46,13 @@ class ValidationReport:
         return cls(ok=not found, violations=found[:MAX_VIOLATIONS], total=len(found))
 
     @classmethod
-    def from_witnesses(cls, found: Sequence[tuple]) -> "ValidationReport":
+    def from_witnesses(cls, found: Sequence[tuple], total: int | None = None) -> "ValidationReport":
         """A report from ``(make, *args)`` entries, where ``make(*args)`` is the
-        violation; only the first ``MAX_VIOLATIONS`` are formatted."""
+        violation; only the first ``MAX_VIOLATIONS`` are formatted.  A caller
+        that keeps only the first entries passes the ``total`` it counted."""
         shown = tuple(make(*args) for make, *args in found[:MAX_VIOLATIONS])
-        return cls(ok=not found, violations=shown, total=len(found))
+        total = len(found) if total is None else total
+        return cls(ok=not total, violations=shown, total=total)
 
     def kinds(self) -> set[str]:
         return {v.kind for v in self.violations}

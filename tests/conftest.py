@@ -22,7 +22,7 @@ from arrowcat.core import (
 )
 from arrowcat.errors import CapacityError, NameNotFoundError, WiringError
 from arrowcat.functors import FunctorMap, validate_functor
-from arrowcat.generators import gen_random
+from arrowcat.generators import Poset, gen_random, poset_arrow
 from arrowcat.equivalence import NatTransf
 from arrowcat.report import (
     ASSOCIATIVITY_EQUAL,
@@ -329,6 +329,32 @@ def reference_validate_nat(nat: NatTransf) -> ValidationReport:
                 f"square at {m} does not commute: {tau_cod}.{f.mapping[m]} vs {g.mapping[m]}.{tau_dom}",
             ))
     return ValidationReport.from_violations(violations)
+
+
+# The joined-loop closure and thin-category table, kept as references for the
+# up-set closure of ``Poset.from_covers`` and the indexed join of ``gen_poset``.
+def reference_from_covers(elements: Iterable[str], covers: Iterable[tuple[str, str]]) -> frozenset:
+    leq = {(x, x) for x in elements}
+    leq.update(covers)
+    changed = True
+    while changed:
+        changed = False
+        for (x, y) in list(leq):
+            for (y2, z) in list(leq):
+                if y2 == y and (x, z) not in leq:
+                    leq.add((x, z))
+                    changed = True
+    return frozenset(leq)
+
+
+def reference_poset_category(poset: Poset) -> tuple[list[str], dict[tuple[str, str], str]]:
+    morphisms = [poset_arrow(x, y) for (x, y) in poset.leq]
+    table = {}
+    for (x, y) in poset.leq:
+        for (y2, z) in poset.leq:
+            if y2 == y:
+                table[(poset_arrow(y, z), poset_arrow(x, y))] = poset_arrow(x, z)
+    return morphisms, table
 
 
 def random_pool(count: int, max_morphisms: int, offset: int = 0) -> list[ObjlessCategory]:

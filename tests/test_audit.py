@@ -1,7 +1,8 @@
 """The one-pass functor and transformation checks against the sorted-walk references.
 
 ``validate_functor`` and ``validate_nat`` check each law once over all its
-entries and sort and format only the entries that fail it.  Every
+entries, count the entries that fail it, and pick and format only the first
+``MAX_VIOLATIONS`` of them.  Every
 single-entry edit of a few valid functors and transformations, covariant and
 contravariant, must give the report that the references in ``conftest`` give.
 A transformation whose functor leaves a morphism unmapped must raise the
@@ -180,6 +181,7 @@ def test_reports_format_only_the_violations_they_keep(monkeypatch):
     shifted = {f"x{i}": f"x{(i + 1) % 150}" for i in range(150)}
     cases = [
         (validate_functor, reference_validate_functor, collapse, 14_161),
+        (validate_functor, reference_validate_functor, dataclasses.replace(collapse, variance=CONTRAVARIANT), 14_161),
         (validate_nat, reference_validate_nat, NatTransf(functor_identity(cyclic), constant, {"g0": "g1"}), 119),
         (validate_nat, reference_validate_nat, NatTransf(identity, identity, shifted), 150),
     ]

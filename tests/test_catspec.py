@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import random
 import sys
 import time
 from pathlib import Path
@@ -36,6 +37,7 @@ from arrowcat.generators import (
     gen_walking_iso,
 )
 from arrowcat.standard import validate_standard
+from conftest import reference_from_covers, reference_poset_category
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -373,6 +375,53 @@ def test_gen_poset_two_chain():
     cat = gen_poset(Poset.chain(["i0", "i1"]))
     assert cat.identities == {"i0", "i1"}
     assert len(cat.morphisms) == 3
+
+
+def _chain(n: int) -> tuple[list[str], set[tuple[str, str]]]:
+    names = [f"c{i}" for i in range(n)]
+    return names, set(zip(names, names[1:]))
+
+
+def _boolean_lattice(bits: int) -> tuple[list[str], set[tuple[str, str]]]:
+    """The lattice the ``limits`` benchmark builds, with plain names."""
+    names = [f"b{m}" for m in range(1 << bits)]
+    covers = {(names[m], names[m | 1 << b]) for m in range(1 << bits) for b in range(bits) if not m & 1 << b}
+    return names, covers
+
+
+def _random_covers(seed: int) -> tuple[list[str], set[tuple[str, str]]]:
+    rng = random.Random(seed)
+    names = [f"p{i}" for i in range(rng.randint(1, 8))]
+    return names, {(x, y) for i, x in enumerate(names) for y in names[i + 1:] if rng.random() < 0.4}
+
+
+POSET_COVERS = (
+    [_chain(n) for n in (1, 2, 3, 8, 20)]
+    + [_boolean_lattice(bits) for bits in (2, 3, 4)]
+    + [_random_covers(seed) for seed in range(40)]
+)
+
+
+@pytest.mark.parametrize("elements, covers", POSET_COVERS)
+def test_poset_and_its_category_match_the_joined_loops(elements, covers):
+    poset = Poset.from_covers(elements, covers)
+    assert poset.leq == reference_from_covers(elements, covers)
+    cat = gen_poset(poset)
+    morphisms, table = reference_poset_category(poset)
+    assert cat.morphisms == frozenset(morphisms)
+    assert list(cat.table.items()) == list(table.items())
+
+
+def test_gen_poset_names_each_arrow_once():
+    cat = gen_poset(Poset.from_covers(*_boolean_lattice(4)))
+    names = {id(name) for key, result in cat.table.items() for name in (*key, result)}
+    assert len(names) == len(cat.morphisms) == 81
+
+
+@pytest.mark.parametrize("covers", [{("a", "b"), ("b", "a")}, {("a", "z")}, {("z", "a")}])
+def test_from_covers_rejects_cycles_and_unknown_elements(covers):
+    with pytest.raises(GeneratorError):
+        Poset.from_covers(["a", "b"], covers)
 
 
 def test_gen_poset_rejects_non_poset():

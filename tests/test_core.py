@@ -300,6 +300,23 @@ def test_hom_classes_partition(name, pool):
     assert sorted(seen) == sorted(cat.morphisms)
 
 
+def _hom_classes_match_hom_class(cat):
+    by_hom = cat.hom_classes()
+    for a, b in product(cat.identities, repeat=2):
+        assert by_hom.get((a, b), []) == sorted(cat.hom_class(a, b))
+    assert all(by_hom.values())
+
+
+@pytest.mark.parametrize("name", sorted(fx.fixture_pool()))
+def test_hom_classes_match_hom_class_on_fixtures(name, pool):
+    _hom_classes_match_hom_class(pool[name])
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_hom_classes_match_hom_class_on_random_categories(seed):
+    _hom_classes_match_hom_class(gen_random(seed, 24))
+
+
 @settings(max_examples=40, deadline=None)
 @given(random_categories)
 def test_lemma_unique_identities(cat):
