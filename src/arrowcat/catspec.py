@@ -11,6 +11,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 from typing import Callable, Container, Iterable, Mapping
 
@@ -199,22 +200,25 @@ class CatspecDocument:
 # A token is its text and its character offset.  Its kind needs no field:
 # only the eof token has empty text, and punctuation never equals an
 # identifier.  Tokens are plain tuples, since one is made per word of input.
-# A statement token, ``("compose", offset, end, after, before, result)``,
-# stands for the eight tokens of one well-formed ``compose: g . f = h;``.
+# A run token, ``("compose", offset, end, entries)``, stands for a run of
+# well-formed ``compose: g . f = h;`` statements, one ``(after, before,
+# result, offset)`` entry each.
 _Token = tuple
 
-# Each match is one token together with the whitespace and comments before
-# it; the groups are tried in order, and the last match is the empty ``eof``.
-# A word (``\w+``: the characters ``str.isalnum`` accepts, and ``_``) that is
-# not a well-formed name is still an identifier token, with a diagnostic.
-# ``parse`` lexes with ``_LEX_RE``, whose first alternative reads a whole
-# well-formed compose statement as one statement token, as the table is most
-# of a file.  ``_Parser.parse_compose`` takes its entry whole; before anything
-# else consumes one, ``_Parser.advance`` re-lexes it with ``_TOKEN_RE``, so
-# every diagnostic comes from the token path.  A match takes one statement:
-# matching whole runs was no faster, and raised ``cli-check`` peak memory from
-# 24.6 to about 29.4 MB.  A comment must end at a newline or the end, or a
-# failed statement match tries each split of a run of ``#`` into comments.
+# Each match of ``_TOKEN_RE`` is one token with the whitespace and comments
+# before it; the groups are tried in order, and the last match is the empty
+# ``eof``.  A word (``\w+``: the characters ``str.isalnum`` accepts, and ``_``)
+# that is not a well-formed name is still an identifier token, with a
+# diagnostic.  ``parse`` lexes with ``_LEX_RE``, whose first alternative is a
+# well-formed compose statement with only spaces and tabs between its parts.
+# Such a statement opens a run, read by ``iter(scanner.match, None)`` over
+# ``_STATEMENT_RE``, one match per statement driven from C, up to the first
+# text that is not one; a statement with a comment or a line break between
+# its parts is lexed as its eight tokens.  ``_Parser.parse_compose`` takes a
+# run whole; before anything else consumes one, ``_Parser.advance`` re-lexes
+# it with ``_TOKEN_RE``, so every diagnostic comes from the token path.  A
+# comment must end at a newline or the end, or a failed match tries each
+# split of a run of ``#`` into comments.
 _SKIP = r"[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*)*"
 _NAME = r"([A-Za-z_][A-Za-z0-9_]*)"
 _TOKENS = r"""(?P<punct>->|=>|[{}:;,.=\[\]])
@@ -222,9 +226,10 @@ _TOKENS = r"""(?P<punct>->|=>|[{}:;,.=\[\]])
     | (?P<word>\w+)
     | (?P<bad>.)
     | (?P<eof>\Z)"""
-_STATEMENT = "(?P<statement>compose" + _SKIP.join(("", ":", _NAME, r"\.", _NAME, "=", _NAME, ";")) + ")"
+_STATEMENT = "compose" + r"[ \t]*".join(("", ":", _NAME, r"\.", _NAME, "=", _NAME, ";"))
+_STATEMENT_RE = re.compile(_STATEMENT + _SKIP)
 _TOKEN_RE = re.compile(_SKIP + "(?:" + _TOKENS + ")", re.VERBOSE | re.DOTALL)
-_LEX_RE = re.compile(_SKIP + "(?:" + _STATEMENT + "|" + _TOKENS + ")", re.VERBOSE | re.DOTALL)
+_LEX_RE = re.compile(_SKIP + "(?:(?P<statement>" + _STATEMENT + ")|" + _TOKENS + ")", re.VERBOSE | re.DOTALL)
 
 _PUNCT = frozenset(("->", "=>", "{", "}", ":", ";", ",", ".", "=", "[", "]"))  # the punct group's tokens
 _Pending = tuple[str, str, int]  # a diagnostic as (kind, message, offset)
@@ -233,21 +238,23 @@ _Pending = tuple[str, str, int]  # a diagnostic as (kind, message, offset)
 def _lex(text: str, pattern: re.Pattern, start: int, end: int) -> tuple[list[_Token], list[_Pending]]:
     tokens: list[_Token] = []
     diagnostics: list[_Pending] = []
-    for match in pattern.finditer(text, start, end):
-        kind = match.lastgroup
-        if kind == "statement":
-            tokens.append(("compose", match.start(kind), match.end(), *match.group(2, 3, 4)))
-            continue
-        value, offset = match[kind], match.start(kind)
-        if kind == "bad":
-            diagnostics.append((LEX, f"unexpected character {value!r}", offset))
-            continue
-        if kind == "word":
-            diagnostics.append((LEX, f"malformed name {value!r} (names must not begin with a digit)", offset))
-        tokens.append((value, offset))
-        if kind == "eof":  # stop before the empty match that can follow an eof ending in a skip
-            break
-    return tokens, diagnostics
+    while True:
+        for match in pattern.finditer(text, start, end):
+            kind = match.lastgroup
+            if kind == "statement":
+                break
+            value, offset = match[kind], match.start(kind)
+            if kind == "bad":
+                diagnostics.append((LEX, f"unexpected character {value!r}", offset))
+                continue
+            if kind == "word":
+                diagnostics.append((LEX, f"malformed name {value!r} (names must not begin with a digit)", offset))
+            tokens.append((value, offset))
+            if kind == "eof":  # stop before the empty match that can follow an eof ending in a skip
+                return tokens, diagnostics
+        run = list(iter(_STATEMENT_RE.scanner(text, match.start(kind), end).match, None))
+        start = run[-1].end()
+        tokens.append(("compose", run[0].start(), start, [(*m.groups(), m.start()) for m in run]))
 
 
 def _span(newlines: list[int], offset: int) -> Span:
@@ -280,7 +287,7 @@ class _Parser:
 
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
-        if len(tok) > 2:  # a statement token not read by parse_compose: split it into its tokens
+        if len(tok) > 2:  # a run token not read by parse_compose: split it into its tokens
             self.tokens[self.pos:self.pos + 1] = _lex(self.text, _TOKEN_RE, tok[1], tok[2])[0][:-1]
             tok = self.tokens[self.pos]
         if tok[0]:  # the eof token is never consumed
@@ -408,9 +415,9 @@ class _Parser:
     def parse_compose(self, noun: str, entries: list[tuple[str, str, str, int]]) -> None:
         """``compose: after . before = result;``, with ``noun`` naming what each part must be."""
         tok = self.tokens[self.pos]
-        if len(tok) > 2:  # a well-formed statement, lexed as one token
+        if len(tok) > 2:  # a run of well-formed statements, lexed as one token
             self.pos += 1
-            entries.append((tok[3], tok[4], tok[5], tok[1]))
+            entries.extend(tok[3])
             return
         _, offset = self.advance()
         self.expect_punct(":")  # reported when missing, but the statement is still read
@@ -433,7 +440,13 @@ class _Parser:
     def compose_table(
         self, entries: list[tuple[str, str, str, int]], arrows: Container[str],
     ) -> dict[tuple[str, str], str]:
-        table: dict[tuple[str, str], str] = {}
+        # One pass, unless a name is undeclared or a pair written twice: the loop reports those.
+        if entries:
+            afters, befores, results, _ = zip(*entries)
+            table = dict(zip(zip(afters, befores), results))
+            if len(table) == len(entries) and all(map(arrows.__contains__, chain(afters, befores, results))):
+                return table
+        table = {}
         for after, before, result, offset in entries:
             for part in (after, before, result):
                 if part not in arrows:

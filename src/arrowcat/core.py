@@ -11,7 +11,7 @@ left.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import chain
 from operator import itemgetter
 from types import MappingProxyType
@@ -237,12 +237,16 @@ class CompositionProfile:
     left_partners: frozenset[str]
 
 
+_SEAL = object()  # passed only by the constructors below, which yield valid categories
+
+
 @dataclass(frozen=True)
 class ObjlessCategory:
     """A validated arrow-only category; construct via :meth:`build`.
 
     Values are immutable; ``identities``, ``dom`` and ``cod`` are caches
-    derived from ``morphisms`` and ``table`` alone.
+    derived from ``morphisms`` and ``table`` alone.  Calling the class raises
+    TypeError: only :meth:`build`, :meth:`full_subcategory` and :meth:`opposite` make one.
     """
 
     morphisms: frozenset[str]
@@ -250,6 +254,11 @@ class ObjlessCategory:
     identities: frozenset[str]
     dom: Mapping[str, str]
     cod: Mapping[str, str]
+    _seal: InitVar[object] = None
+
+    def __post_init__(self, _seal: object) -> None:
+        if _seal is not _SEAL:
+            raise TypeError("an ObjlessCategory is made by ObjlessCategory.build, which validates its data")
 
     @classmethod
     def build(cls, morphisms: Iterable[str], table: TableLike) -> "ObjlessCategory":
@@ -269,7 +278,7 @@ class ObjlessCategory:
             table=MappingProxyType(dict(t)),
             identities=identities,
             dom=MappingProxyType(dom),
-            cod=MappingProxyType(cod),
+            cod=MappingProxyType(cod), _seal=_SEAL,
         )
 
     def __hash__(self) -> int:
@@ -342,7 +351,7 @@ class ObjlessCategory:
         return ObjlessCategory(
             morphisms=arrows, table=MappingProxyType(table), identities=keep,
             dom=MappingProxyType({m: self.dom[m] for m in arrows}),
-            cod=MappingProxyType({m: self.cod[m] for m in arrows}),
+            cod=MappingProxyType({m: self.cod[m] for m in arrows}), _seal=_SEAL,
         )
 
     def opposite(self) -> "ObjlessCategory":
@@ -353,5 +362,5 @@ class ObjlessCategory:
             table=MappingProxyType(t),
             identities=self.identities,
             dom=self.cod,
-            cod=self.dom,
+            cod=self.dom, _seal=_SEAL,
         )

@@ -34,11 +34,16 @@ class Poset:
         for x in elems:
             if (x, x) not in self.leq:
                 raise GeneratorError(f"order is not reflexive at {x}")
+        up: dict[str, set[str]] = {x: set() for x in elems}
         for x, y in self.leq:
             if x != y and (y, x) in self.leq:
                 raise GeneratorError(f"order is not antisymmetric on ({x}, {y})")
-            for z in elems:
-                if (y, z) in self.leq and (x, z) not in self.leq:
+            up[x].add(y)
+        # Transitive exactly when each up-set holds the up-set of each member.
+        for x, above in up.items():
+            for y in above:
+                if not above.issuperset(up[y]):
+                    z = min(up[y] - above)
                     raise GeneratorError(f"order is not transitive on ({x}, {y}, {z})")
 
     @classmethod

@@ -179,7 +179,8 @@ def test_malformed_corpus(name, kind, line):
 # Every diagnostic, in full, for the malformed corpus and for seeded one-edit
 # mutations of the valid fixtures: the text is the fixture with ``delete``
 # characters at ``at`` replaced by ``insert``.  Recorded from the
-# character-stepping lexer that the regex lexer replaced.
+# character-stepping lexer that the regex lexer replaced; the last entry, a
+# long statement run, from the plain token regex.
 GOLDEN = json.loads((FIXTURES / "golden_diagnostics.json").read_text(encoding="utf-8"))
 
 
@@ -196,7 +197,7 @@ _FUZZ_PIECES = st.sampled_from([
     " ", "\n", "\r", "\t", "\x0b", "#", "{", "}", ":", ";", ",", ".", "=", "[", "]", "-", ">",
     "->", "=>", "@", "é", "٣", "9", "_", "x", "A", "id_A", "objless", "category", "functor", "nat",
     "arrows", "objects", "arrow", "id", "compose", "map", "component", "contravariant",
-    # Whole statements, so statement tokens land in every block and list.
+    # Whole statements, so statement runs land in every block and list.
     "compose: a . b = c;", "compose:a.b=c;", "compose: a . b = c", "compose: compose . a = a;",
 ])
 
@@ -232,31 +233,67 @@ def _outcome(text: str):
 _EDIT_INSERTS = (";", "}", ":", ".", "=", "#c\n", "é", "1x")
 
 
-def _single_edits(text: str):
+def _single_edits(text: str, lines: set[int] | None = None):
     """``text``, and each text one edit away: a token deleted, or one of
-    ``_EDIT_INSERTS`` inserted before a token or at the end."""
+    ``_EDIT_INSERTS`` inserted before a token or at the end; with ``lines``,
+    only at tokens on those lines (counted from 0)."""
     yield text
     tokens, _ = catspec._lex(text, catspec._TOKEN_RE, 0, len(text))
     for value, offset in tokens:
+        if lines is not None and text.count("\n", 0, offset) not in lines:
+            continue
         if value:
             yield text[:offset] + text[offset + len(value):]
         for insert in _EDIT_INSERTS:
             yield text[:offset] + insert + text[offset:]
 
 
+def _assert_parsed_as_the_token_path_does(texts: list[str], monkeypatch) -> None:
+    # Statement runs are a shortcut only: every document, span and diagnostic
+    # must be the one the plain token regex gives.
+    with_runs = [_outcome(t) for t in texts]
+    monkeypatch.setattr(catspec, "_LEX_RE", catspec._TOKEN_RE)
+    for edited, outcome in zip(texts, with_runs):
+        assert outcome == _outcome(edited), edited
+
+
 @pytest.mark.parametrize("name", [p.name for p in sorted(FIXTURES.glob("*.cat"))] + ["chain"])
 def test_statement_tokens_parse_as_the_token_path_does(name, monkeypatch):
-    # The statement alternative is a shortcut only: every document, span and
-    # diagnostic must be the one the plain token regex gives.  Each input is
-    # cut to its first 30 lines: past them the long fixtures repeat the same
-    # statements (finsetdup.cat has 260 compose lines), and the chain file
-    # has every block kind in its 28.
+    # Each input is cut to its first 30 lines: past them the long fixtures
+    # repeat the same statements (finsetdup.cat has 260 compose lines), and
+    # the chain file has every block kind in its 28.
     text = serialize(_chain_doc()) if name == "chain" else (FIXTURES / name).read_text(encoding="utf-8")
-    texts = list(_single_edits("".join(text.splitlines(keepends=True)[:30])))
-    with_statements = [_outcome(t) for t in texts]
-    monkeypatch.setattr(catspec, "_LEX_RE", catspec._TOKEN_RE)
-    for edited, outcome in zip(texts, with_statements):
-        assert outcome == _outcome(edited), edited
+    _assert_parsed_as_the_token_path_does(
+        list(_single_edits("".join(text.splitlines(keepends=True)[:30]))), monkeypatch)
+
+
+def _runs(text: str) -> list[list[tuple[str, str, str, int]]]:
+    """The entries of each statement run that ``parse`` lexes in ``text``."""
+    return [tok[3] for tok in catspec._lex(text, catspec._LEX_RE, 0, len(text))[0] if len(tok) > 2]
+
+
+def test_edits_at_the_edges_of_a_long_run_parse_as_the_token_path_does(monkeypatch):
+    statements = [f"  compose: a{i % 7} . a{i // 7} = a{(i + i // 7) % 7};\n" for i in range(40)]
+    text = "objless R {\n  arrows: " + ", ".join(f"a{i}" for i in range(7)) + ";\n" + "".join(statements) + "}\n"
+    assert [len(run) for run in _runs(text)] == [40]
+    # Lines 2, 21 and 41 hold the first, a middle and the last statement.
+    _assert_parsed_as_the_token_path_does(list(_single_edits(text, lines={2, 21, 41})), monkeypatch)
+
+
+def test_a_comment_or_line_break_inside_a_statement_leaves_it_to_the_token_path(monkeypatch):
+    text = "\n".join([
+        "objless A {", "  arrows: a, b;",
+        "  compose: a . a = a;",
+        "  compose: a # a comment between parts", " . b = b;",
+        "  compose: b .", " b = b;",  # a line break between parts
+        "  compose:\tb . a = b;  # tabs, and a comment after the statement",
+        "  compose: b . a = a;", "}",
+    ]) + "\n"
+    # Each run's entries, with the line of each statement.
+    assert [[(a, b, r, text.count("\n", 0, offset)) for a, b, r, offset in run] for run in _runs(text)] == [
+        [("a", "a", "a", 2)], [("b", "a", "b", 7), ("b", "a", "a", 8)],
+    ]
+    _assert_parsed_as_the_token_path_does(list(_single_edits(text)), monkeypatch)
 
 
 def test_a_run_of_hashes_after_compose_does_not_backtrack():
@@ -427,6 +464,17 @@ def test_from_covers_rejects_cycles_and_unknown_elements(covers):
 def test_gen_poset_rejects_non_poset():
     with pytest.raises(GeneratorError):
         Poset(elements=("a", "b"), leq=frozenset({("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")}))
+
+
+def test_poset_rejects_a_relation_that_is_not_transitive():
+    with pytest.raises(GeneratorError, match=r"^order is not transitive on \(a, b, c\)$"):
+        Poset(elements=("a", "b", "c"), leq=frozenset({("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c")}))
+    # A 4-chain without a <= d: (a, b, d) and (a, c, d) both break transitivity.
+    leq = {(x, y) for i, x in enumerate("abcd") for y in "abcd"[i:]} - {("a", "d")}
+    with pytest.raises(GeneratorError, match="order is not transitive") as exc:
+        Poset(elements=tuple("abcd"), leq=frozenset(leq))
+    x, y, z = str(exc.value).split("(")[1].rstrip(")").split(", ")
+    assert (x, y) in leq and (y, z) in leq and (x, z) not in leq
 
 
 def test_gen_monoid_z2():

@@ -1,6 +1,7 @@
 """Arrow-kernel tests: validation, identities, composition, profiles, opposite."""
 from __future__ import annotations
 
+import dataclasses
 import random
 from itertools import product
 
@@ -124,6 +125,20 @@ def test_build_rejects_invalid():
     with pytest.raises(InvalidCategoryError) as exc:
         ObjlessCategory.build(["e", "s"], {("e", "e"): "e", ("s", "s"): "e"})
     assert not exc.value.report.ok
+
+
+def test_the_constructor_is_sealed():
+    # Only build validates, so a direct call must not yield a category: here
+    # the only arrow would carry no identity.
+    with pytest.raises(TypeError, match="ObjlessCategory.build"):
+        ObjlessCategory(
+            morphisms=frozenset({"s"}), table={("s", "s"): "s"}, identities=frozenset(), dom={}, cod={},
+        )
+    cat = fx.two_chain()
+    with pytest.raises(TypeError, match="ObjlessCategory.build"):
+        dataclasses.replace(cat, identities=frozenset())
+    assert cat.opposite().opposite() == cat
+    assert cat.full_subcategory(["i0"]).morphisms == {"i0"}
 
 
 def test_build_reads_one_shot_iterables_once():

@@ -1,15 +1,18 @@
 """Standard-bridge tests: validation, both conversions, round trips, renaming."""
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arrowcat import fixtures as fx
+from arrowcat import fixtures as fx, standard
 from arrowcat.core import MAX_MORPHISMS, validate_objectless
 from arrowcat.errors import CapacityError, InvalidCategoryError
 from arrowcat.generators import gen_random
 from arrowcat.standard import (
     StdCategory,
+    _presentation_holds,
     _presentation_violations,
     equal_up_to_renaming,
     to_objectless,
@@ -88,6 +91,46 @@ def test_single_entry_edits_match_the_oracle():
                 assert report == validate_objectless(std.arrows, std.table)
     # Some edits pass the presentation checks and fail only the axioms.
     assert rejected_by_kernel > 0
+
+
+def _presentation_edits(std: StdCategory):
+    """Edits to objects, typings, identities and names, which the table edits leave alone."""
+    first, last = min(std.objects), max(std.objects)
+    ident, last_ident = std.id_of[first], std.id_of[last]
+    objects, arrows, table, id_of = std.objects, std.arrows, std.table, std.id_of
+    yield StdCategory.make(objects, arrows, table, {**id_of, "Z": ident})
+    # An object with no arrow of its own: only the typing of its identity fails.
+    yield StdCategory.make(objects | {"Z"}, arrows, table, {**id_of, "Z": ident})
+    yield StdCategory.make(objects, arrows, table, {o: i for o, i in id_of.items() if o != first})
+    yield StdCategory.make(objects - {first}, arrows, table, id_of)
+    yield StdCategory.make(objects, {**arrows, ident: (first, "Z")}, table, id_of)
+    # An arrow out of or into an undeclared object.  In the two-chain, which has no
+    # other arrow into its first object and none out of its last, the table stays total.
+    yield StdCategory.make(objects, {**arrows, "z": (first, "Z")}, {**table, ("z", ident): "z"}, id_of)
+    yield StdCategory.make(objects, {**arrows, "z": ("Z", last)}, {**table, (last_ident, "z"): "z"}, id_of)
+    yield StdCategory.make(objects, arrows, {**table, (ident, "q"): ident}, id_of)
+    # An entry moved from a composable pair of non-identities to a pair that is not
+    # composable, with a well-typed result, so the entry count still matches.
+    ids, typed = set(id_of.values()), {t: m for m, t in arrows.items()}
+    keys = [k for k in sorted(table) if not ids & set(k)]
+    pairs = [(a, b) for a, b in product(sorted(arrows), repeat=2)
+             if arrows[b][1] != arrows[a][0] and (arrows[b][0], arrows[a][1]) in typed]
+    for key, (a, b) in zip(keys[:1], pairs[:1]):
+        moved = {k: v for k, v in table.items() if k != key}
+        yield StdCategory.make(objects, arrows, {**moved, (a, b): typed[(arrows[b][0], arrows[a][1])]}, id_of)
+    for obj in sorted(objects - {first}):
+        yield StdCategory.make(objects, arrows, table, {**id_of, first: id_of[obj]})
+
+
+def test_the_one_pass_presentation_check_holds_exactly_when_the_walk_finds_nothing(monkeypatch):
+    corpus = []
+    for make_std in (fx.two_chain_std, fx.finset2_std, fx.finset_dup_std):
+        valid = make_std()
+        corpus += [valid, *_single_entry_edits(valid), *_presentation_edits(valid)]
+    holds = [_presentation_holds(std) for std in corpus]
+    monkeypatch.setattr(standard, "_presentation_holds", lambda cat: False)
+    assert holds == [not _presentation_violations(std) for std in corpus]
+    assert 3 <= holds.count(True) < len(holds)
 
 
 def test_identity_of_unknown_object_reported():
