@@ -28,22 +28,15 @@ The search is not trusted: the public decisions audit what they return.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator, Sized
+from typing import Iterator
 
-from .core import ObjlessCategory, check_count
+from .core import DEFAULT_ISO_CAP, ObjlessCategory, check_cap  # the caps live in core; re-exported here
 
-DEFAULT_ISO_CAP = 64
 BRUTE_FORCE_CAP = 12
 # Functor pairs (F, G) the exhaustive equivalence search may visit: at
 # 12-25 us a pair, a few seconds.  Small categories can have too many
 # functors for any cap on their size: discrete(5) has 3,125 each way.
 BRUTE_FORCE_PAIRS = 100_000
-
-
-def check_cap(cap: int, *sized: Sized) -> None:
-    """Raise CapacityError unless every argument has at most ``cap`` morphisms."""
-    for item in sized:
-        check_count(len(item), cap)
 
 
 def _hom_sizes(cat: ObjlessCategory) -> dict[tuple[str, str], int]:

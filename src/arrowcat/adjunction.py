@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .equivalence import NatTransf, validate_nat
 from .errors import WiringError
-from .functors import FunctorMap, functor_compose, functor_identity, require_functor
+from .functors import FunctorMap, NatTransf, functor_compose, functor_identity, require_functor, validate_nat
 from .generators import Poset, gen_poset, monotone_map_check, poset_arrow
 from .limits import LIMIT_KINDS, LimitsReport, _preserves_finite_limits
 

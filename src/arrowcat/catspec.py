@@ -8,7 +8,6 @@ Parsing never partially succeeds: any diagnostic aborts with CatspecError.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -17,8 +16,7 @@ from typing import Callable, Container, Iterable, Mapping
 
 from .core import ObjlessCategory
 from .errors import ArrowCatError, InvalidCategoryError, NameNotFoundError
-from .functors import CONTRAVARIANT, COVARIANT, FunctorMap
-from .equivalence import NatTransf
+from .functors import CONTRAVARIANT, COVARIANT, FunctorMap, NatTransf
 from .report import ValidationReport
 from .standard import StdCategory, to_objectless
 
@@ -257,10 +255,17 @@ def _lex(text: str, pattern: re.Pattern, start: int, end: int) -> tuple[list[_To
         tokens.append(("compose", run[0].start(), start, [(*m.groups(), m.start()) for m in run]))
 
 
-def _span(newlines: list[int], offset: int) -> Span:
-    """The line:col of ``offset``, given the sorted offsets of the text's newlines."""
-    line = bisect_left(newlines, offset)
-    return Span(line + 1, offset - newlines[line - 1] if line else offset + 1)
+def _spans(text: str, offsets: Iterable[int]) -> dict[int, Span]:
+    """The line:col of each offset, from the newlines counted in one pass over the sorted offsets."""
+    spans, line, start, prev = {}, 1, 0, 0
+    for offset in sorted(set(offsets)):
+        breaks = text.count("\n", prev, offset)
+        if breaks:
+            line += breaks
+            start = text.rindex("\n", prev, offset) + 1
+        spans[offset] = Span(line, offset - start + 1)
+        prev = offset
+    return spans
 
 
 # ---------------------------------------------------------------------------
@@ -653,13 +658,13 @@ def parse(text: str) -> CatspecDocument:
     tokens, diagnostics = _lex(text, _LEX_RE, 0, len(text))
     parser = _Parser(text, tokens, diagnostics)
     doc = parser.parse()
-    newlines = [match.start() for match in re.finditer("\n", text)]
     if parser.diagnostics:
+        spans = _spans(text, (offset for _, _, offset in parser.diagnostics))
         raise CatspecError(
-            Diagnostic(kind, message, _span(newlines, offset), offset)
-            for kind, message, offset in parser.diagnostics
+            Diagnostic(kind, message, spans[offset], offset) for kind, message, offset in parser.diagnostics
         )
-    doc.source_spans = {key: _span(newlines, offset) for key, offset in parser.decl_offsets.items()}
+    spans = _spans(text, parser.decl_offsets.values())
+    doc.source_spans = {key: spans[offset] for key, offset in parser.decl_offsets.items()}
     return doc
 
 

@@ -4,51 +4,21 @@ Exit codes: 0 when the queried property holds (or output was produced),
 1 when it fails (invalid category, not equivalent, ...), 2 for usage, parse,
 capacity, and wiring errors.  Structured output (--json) emits one report
 object per invocation on stdout; diagnostics go to stderr.
+
+Only the text layer and the validators load with this module; each command
+that decides something imports its modules when it runs, so a cold
+``arrowcat check`` never loads the searches.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import catspec
-from .adjunction import (
-    AdjunctionCandidate,
-    PAPER_LITERAL,
-    STANDARD,
-    check_adjunction,
-    is_admissible,
-)
 from .catspec import CatspecDocument, CatspecError, parse, serialize
-from .equivalence import (
-    _inverse,
-    are_equivalent,
-    brute_force_equivalence,
-    find_category_isomorphism,
-    is_skeletal,
-    skeleton,
-    validate_nat,
-)
 from .errors import ArrowCatError, InvalidCategoryError, WiringError
-from .functors import validate_functor
-from .generators import (
-    Poset,
-    gen_cyclic,
-    gen_discrete,
-    gen_finset,
-    gen_poset,
-    gen_random,
-    gen_walking_iso,
-)
-from .limits import (
-    LIMIT_KINDS,
-    _parallel_pairs,
-    binary_product,
-    equalizer,
-    preserves_finite_limits,
-    terminal_objects,
-)
+from .functors import validate_functor, validate_nat
 from .standard import to_standard
 
 OK, FAIL, USAGE = 0, 1, 2
@@ -68,6 +38,8 @@ class _Output:
 
     def flush(self) -> None:
         if self.as_json:
+            import json
+
             print(json.dumps(self.record, sort_keys=True))
             return
         for line in self.lines:
@@ -194,6 +166,8 @@ def _caps(args) -> dict:
 
 
 def _cmd_skeleton(args, out: _Output) -> int:
+    from .equivalence import is_skeletal, skeleton
+
     doc = _read_document(args.file)
     cat = doc.objectless(args.cat)
     result = skeleton(cat, seed=args.seed)
@@ -223,6 +197,8 @@ def _cmd_skeleton(args, out: _Output) -> int:
 
 
 def _cmd_iso(args, out: _Output) -> int:
+    from .equivalence import _inverse, find_category_isomorphism
+
     doc = _read_document(args.file)
     left = doc.objectless(args.left)
     right = doc.objectless(args.right)
@@ -242,6 +218,8 @@ def _cmd_iso(args, out: _Output) -> int:
 
 
 def _cmd_equiv(args, out: _Output) -> int:
+    from .equivalence import are_equivalent, brute_force_equivalence
+
     doc = _read_document(args.file)
     left = doc.objectless(args.left)
     right = doc.objectless(args.right)
@@ -279,19 +257,17 @@ def _cmd_validate(args, out: _Output) -> int:
     return OK if report.ok else FAIL
 
 
-def _candidate_from_args(doc: CatspecDocument, args, mode: str) -> AdjunctionCandidate:
-    return AdjunctionCandidate(
+def _cmd_adjoint_check(args, out: _Output) -> int:
+    from .adjunction import AdjunctionCandidate, check_adjunction
+
+    doc = _read_document(args.file)
+    report = check_adjunction(AdjunctionCandidate(
         left=doc.functor(args.left),
         right=doc.functor(args.right),
         unit=doc.nat(args.unit),
         counit=doc.nat(args.counit),
-        mode=mode,
-    )
-
-
-def _cmd_adjoint_check(args, out: _Output) -> int:
-    doc = _read_document(args.file)
-    report = check_adjunction(_candidate_from_args(doc, args, args.mode))
+        mode=args.mode,
+    ))
     out.record["ok"] = report.ok
     out.record["mode"] = report.mode
     out.record["paper_literal"] = report.literal_ok
@@ -306,6 +282,10 @@ def _cmd_adjoint_check(args, out: _Output) -> int:
 
 
 def _cmd_limits(args, out: _Output) -> int:
+    from .limits import (
+        LIMIT_KINDS, _parallel_pairs, binary_product, equalizer, preserves_finite_limits, terminal_objects,
+    )
+
     doc = _read_document(args.file)
     if bool(args.cat) == bool(args.functor):
         raise WiringError("give exactly one of --cat or --functor")
@@ -348,6 +328,9 @@ def _cmd_limits(args, out: _Output) -> int:
 
 
 def _cmd_admissible(args, out: _Output) -> int:
+    from .adjunction import is_admissible
+    from .limits import LIMIT_KINDS
+
     doc = _read_document(args.file)
     scope = tuple(args.scope.split(",")) if args.scope else LIMIT_KINDS
     report = is_admissible(
@@ -395,6 +378,8 @@ def _cmd_convert(args, out: _Output) -> int:
 
 
 def _cmd_generate(args, out: _Output) -> int:
+    from .generators import Poset, gen_cyclic, gen_discrete, gen_finset, gen_poset, gen_random, gen_walking_iso
+
     doc = CatspecDocument()
     if args.kind == "finset":
         name = args.name or "FinSet"
@@ -434,7 +419,16 @@ _UNIT, _COUNIT = _arg("--unit", required=True), _arg("--counit", required=True)
 _SEED = _arg("--seed", type=int, default=0)
 _MAX_MORPHISMS = _arg("--max-morphisms", type=int)
 
-# Each command: its handler, its help line, and its arguments after --json.
+
+def _mode() -> tuple:
+    """The adjoint-check --mode argument, made only when that parser is built."""
+    from .adjunction import PAPER_LITERAL, STANDARD
+
+    return _arg("--mode", choices=[STANDARD, PAPER_LITERAL], default=STANDARD)
+
+
+# Each command: its handler, its help line, and its arguments after --json,
+# each a (flags, kwargs) pair or a function that makes one.
 _COMMANDS = {
     "check": (_cmd_check, "validate every entity in a catspec file", [_FILE]),
     "identities": (_cmd_identities, "list the inferred identities of a category", [_FILE, _CAT]),
@@ -446,8 +440,7 @@ _COMMANDS = {
     "functor-check": (_cmd_validate, "validate a functor", [_FILE, _arg("--functor", required=True)]),
     "nat-check": (_cmd_validate, "validate a natural transformation", [_FILE, _arg("--nat", required=True)]),
     "adjoint-check": (_cmd_adjoint_check, "verify an adjunction candidate", [
-        _FILE, _LEFT, _RIGHT, _UNIT, _COUNIT,
-        _arg("--mode", choices=[STANDARD, PAPER_LITERAL], default=STANDARD)]),
+        _FILE, _LEFT, _RIGHT, _UNIT, _COUNIT, _mode]),
     "limits": (_cmd_limits, "compute limits of a category or check preservation", [
         _FILE, _arg("--cat"), _arg("--functor"),
         _arg("--scope", help="comma-separated subset of terminal,products,equalizers")]),
@@ -483,7 +476,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             continue
         p = sub.add_parser(name, help=help_line)
         p.add_argument("--json", action="store_true", help="emit one JSON report object")
-        for flags, kwargs in arguments:
+        for argument in arguments:
+            flags, kwargs = argument() if callable(argument) else argument
             p.add_argument(*flags, **kwargs)
     return parser
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sized
 
 from .errors import (
     CapacityError,
@@ -35,6 +36,7 @@ from .report import (
 )
 
 MAX_MORPHISMS = 4096
+DEFAULT_ISO_CAP = 64  # the isomorphism and equivalence searches' default cap
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -47,6 +49,12 @@ def check_count(count: int, cap: int = MAX_MORPHISMS) -> None:
     """Raise CapacityError if ``count`` morphisms exceed ``cap``."""
     if count > cap:
         raise CapacityError(f"{count} morphisms exceeds cap of {cap}")
+
+
+def check_cap(cap: int, *sized: Sized) -> None:
+    """Raise CapacityError unless every argument has at most ``cap`` morphisms."""
+    for item in sized:
+        check_count(len(item), cap)
 
 
 def is_wellformed_name(name: str) -> bool:
@@ -281,8 +289,12 @@ class ObjlessCategory:
             cod=MappingProxyType(cod), _seal=_SEAL,
         )
 
-    def __hash__(self) -> int:
+    @cached_property
+    def _hash(self) -> int:
         return hash((self.morphisms, tuple(sorted(self.table.items()))))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.morphisms)

@@ -1,5 +1,7 @@
-"""Isomorphisms, natural transformations, skeletons, and category equivalence.
+"""Isomorphisms, skeletons, and category equivalence.
 
+Natural transformations live in ``functors`` and are re-exported here; this
+module adds ``is_natural_isomorphism``, which needs ``is_isomorphism``.
 An isomorphism of categories is a functor with a strict inverse, found by
 ``_search.functor_search`` in its ``iso`` mode.  The equivalence decision
 goes through skeletons: each category is collapsed onto chosen
@@ -14,30 +16,22 @@ it returns, and a failed audit raises AssertionError, under ``-O`` too.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from heapq import nsmallest
-from itertools import compress, islice, product, repeat
-from operator import ne
+from dataclasses import dataclass
+from itertools import islice, product
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from ._search import BRUTE_FORCE_CAP, BRUTE_FORCE_PAIRS, DEFAULT_ISO_CAP, check_cap, find_table_bijection, functor_search
-from .core import ObjlessCategory
-from .errors import CapacityError, NameNotFoundError, WiringError
-from .functors import (
+from ._search import BRUTE_FORCE_CAP, BRUTE_FORCE_PAIRS, find_table_bijection, functor_search
+from .core import DEFAULT_ISO_CAP, ObjlessCategory, check_cap
+from .errors import CapacityError, NameNotFoundError
+from .functors import (  # NatTransf, identity_nat and validate_nat live in functors; re-exported here
     FunctorMap,
+    NatTransf,
     functor_compose,
     functor_identity,
+    identity_nat,
     validate_functor,
-)
-from .report import (
-    MAX_VIOLATIONS,
-    NAME_NOT_FOUND,
-    NATURALITY,
-    TOTALITY,
-    TYPING,
-    ValidationReport,
-    format_violation,
+    validate_nat,
 )
 
 
@@ -86,94 +80,6 @@ def _inverse(functor: FunctorMap, name: str) -> FunctorMap:
     return FunctorMap(
         source=functor.target, target=functor.source,
         mapping={v: k for k, v in functor.mapping.items()},
-        name=name,
-    )
-
-
-@dataclass(frozen=True)
-class NatTransf:
-    """Components indexed by the identities of the shared source category."""
-
-    source: FunctorMap
-    target: FunctorMap
-    components: Mapping[str, str]
-    name: str = field(default="t", compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", MappingProxyType(dict(self.components)))
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, tuple(sorted(self.components.items()))))
-
-
-# The right side of an undefined naturality square, unequal to the left's None.
-_UNDEFINED = object()
-
-
-def validate_nat(nat: NatTransf) -> ValidationReport:
-    """Totality over source identities, component typing, and all naturality squares.
-
-    Each check runs once over all its entries; the failing squares are
-    counted, and only the first ``MAX_VIOLATIONS`` of them are picked and
-    formatted.  Both functors must map every morphism: a partial one raises
-    WiringError naming it (the source functor first) and its least unmapped
-    morphism.
-    """
-    f, g = nat.source, nat.target
-    if f.source != g.source or f.target != g.target:
-        raise WiringError("transformation between functors with different sources or targets")
-    src, dst, comps = f.source, f.target, nat.components
-    for functor in (f, g):
-        unmapped = src.morphisms.difference(functor.mapping)
-        if unmapped:
-            raise WiringError(
-                f"{functor.name} is not a functor: morphism {min(unmapped)} of the source is not mapped")
-
-    mismatched = src.identities.symmetric_difference(comps)
-    unknown = set(comps.values()).difference(dst.morphisms)
-    if mismatched or unknown:
-        return ValidationReport.from_witnesses(
-            [(format_violation, TOTALITY, (ident,), "no component at identity {}", ident)
-             for ident in sorted(mismatched & src.identities)]
-            + [(format_violation, TYPING, (key,), "component key {} is not an identity of the source", key)
-               for key in sorted(mismatched - src.identities)]
-            + [(format_violation, NAME_NOT_FOUND, (key, value), "component at {} names unknown morphism {}", key, value)
-               for key, value in sorted(item for item in comps.items() if item[1] in unknown)]
-        )
-
-    fmap, gmap = f.mapping, g.mapping
-    mistyped = [
-        (format_violation, TYPING, (ident, comp), "component at {} is typed {} -> {}, expected {} -> {}",
-         ident, dst.dom[comp], dst.cod[comp], fmap[ident], gmap[ident])
-        for ident, comp in sorted(comps.items())
-        if dst.dom[comp] != fmap[ident] or dst.cod[comp] != gmap[ident]
-    ]
-    if mistyped:
-        return ValidationReport.from_witnesses(mistyped)
-
-    # Both sides of every square, tau_cod.F(m) and G(m).tau_dom; an undefined
-    # side reads None on the left and _UNDEFINED on the right, so a square
-    # commutes exactly when its two entries are equal.
-    tau, arrows = comps.__getitem__, src.morphisms
-    lefts = map(dst.table.get, zip(map(tau, map(src.cod.__getitem__, arrows)),
-                                   map(fmap.__getitem__, arrows)))
-    rights = map(dst.table.get, zip(map(gmap.__getitem__, arrows),
-                                    map(tau, map(src.dom.__getitem__, arrows))),
-                 repeat(_UNDEFINED))
-    mismatched = list(map(ne, lefts, rights))
-    return ValidationReport.from_witnesses([
-        (format_violation, NATURALITY, (m,), "square at {} does not commute: {}.{} vs {}.{}",
-         m, tau(src.cod[m]), fmap[m], gmap[m], tau(src.dom[m]))
-        for m in nsmallest(MAX_VIOLATIONS, compress(arrows, mismatched))
-    ], mismatched.count(True))
-
-
-def identity_nat(f: FunctorMap, name: str = "id_t") -> NatTransf:
-    """The identity transformation on a functor."""
-    return NatTransf(
-        source=f,
-        target=f,
-        components={i: f.mapping[i] for i in f.source.identities},
         name=name,
     )
 

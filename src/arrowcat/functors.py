@@ -1,19 +1,24 @@
-"""Functors as morphism-name maps, with variance and category-free composition.
+"""Functors and natural transformations: the arrows between categories, and between those.
 
 A functor is a single total map between morphism sets; its action on objects
-is just its action on identities.  ``validate_functor`` checks each law once
-over all its entries: totality, stray keys and unknown names as set
-differences, the identity law as a filter, and the composition law as one
-comparison of two lists over the whole table, with the two factors swapped
-for a contravariant functor.  The entries that fail are counted, and only the
-first ``MAX_VIOLATIONS`` of them, each under its key in the covariant view
-(out of the opposite category if contravariant), are picked and formatted.
+is just its action on identities, and an identity functor stands in for its
+category.  ``validate_functor`` checks each law once over all its entries:
+totality, stray keys and unknown names as set differences, the identity law
+as a filter, and the composition law as one comparison of two lists over the
+whole table, with the two factors swapped for a contravariant functor.  The
+entries that fail are counted, and only the first ``MAX_VIOLATIONS`` of them,
+each under its key in the covariant view (out of the opposite category if
+contravariant), are picked and formatted.  A natural transformation has one
+component per identity of its functors' shared source, and ``validate_nat``
+checks all its naturality squares the same way.  Nothing here searches: the
+decisions built on these arrows live in ``equivalence``, ``limits`` and
+``adjunction``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import nsmallest
-from itertools import compress
+from itertools import compress, repeat
 from operator import itemgetter, ne
 from types import MappingProxyType
 from typing import Mapping
@@ -25,6 +30,7 @@ from .report import (
     IDENTITY_LAW,
     MAX_VIOLATIONS,
     NAME_NOT_FOUND,
+    NATURALITY,
     TOTALITY,
     TYPING,
     ValidationReport,
@@ -165,3 +171,91 @@ def functor_dom(f: FunctorMap) -> FunctorMap:
 def functor_cod(f: FunctorMap) -> FunctorMap:
     """The identity functor on the target; neutral on the left under composition."""
     return functor_identity(f.target, name=f"cod_{f.name}")
+
+
+@dataclass(frozen=True)
+class NatTransf:
+    """Components indexed by the identities of the shared source category."""
+
+    source: FunctorMap
+    target: FunctorMap
+    components: Mapping[str, str]
+    name: str = field(default="t", compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "components", MappingProxyType(dict(self.components)))
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, tuple(sorted(self.components.items()))))
+
+
+# The right side of an undefined naturality square, unequal to the left's None.
+_UNDEFINED = object()
+
+
+def validate_nat(nat: NatTransf) -> ValidationReport:
+    """Totality over source identities, component typing, and all naturality squares.
+
+    Each check runs once over all its entries; the failing squares are
+    counted, and only the first ``MAX_VIOLATIONS`` of them are picked and
+    formatted.  Both functors must map every morphism: a partial one raises
+    WiringError naming it (the source functor first) and its least unmapped
+    morphism.
+    """
+    f, g = nat.source, nat.target
+    if f.source != g.source or f.target != g.target:
+        raise WiringError("transformation between functors with different sources or targets")
+    src, dst, comps = f.source, f.target, nat.components
+    for functor in (f, g):
+        unmapped = src.morphisms.difference(functor.mapping)
+        if unmapped:
+            raise WiringError(
+                f"{functor.name} is not a functor: morphism {min(unmapped)} of the source is not mapped")
+
+    mismatched = src.identities.symmetric_difference(comps)
+    unknown = set(comps.values()).difference(dst.morphisms)
+    if mismatched or unknown:
+        return ValidationReport.from_witnesses(
+            [(format_violation, TOTALITY, (ident,), "no component at identity {}", ident)
+             for ident in sorted(mismatched & src.identities)]
+            + [(format_violation, TYPING, (key,), "component key {} is not an identity of the source", key)
+               for key in sorted(mismatched - src.identities)]
+            + [(format_violation, NAME_NOT_FOUND, (key, value), "component at {} names unknown morphism {}", key, value)
+               for key, value in sorted(item for item in comps.items() if item[1] in unknown)]
+        )
+
+    fmap, gmap = f.mapping, g.mapping
+    mistyped = [
+        (format_violation, TYPING, (ident, comp), "component at {} is typed {} -> {}, expected {} -> {}",
+         ident, dst.dom[comp], dst.cod[comp], fmap[ident], gmap[ident])
+        for ident, comp in sorted(comps.items())
+        if dst.dom[comp] != fmap[ident] or dst.cod[comp] != gmap[ident]
+    ]
+    if mistyped:
+        return ValidationReport.from_witnesses(mistyped)
+
+    # Both sides of every square, tau_cod.F(m) and G(m).tau_dom; an undefined
+    # side reads None on the left and _UNDEFINED on the right, so a square
+    # commutes exactly when its two entries are equal.
+    tau, arrows = comps.__getitem__, src.morphisms
+    lefts = map(dst.table.get, zip(map(tau, map(src.cod.__getitem__, arrows)),
+                                   map(fmap.__getitem__, arrows)))
+    rights = map(dst.table.get, zip(map(gmap.__getitem__, arrows),
+                                    map(tau, map(src.dom.__getitem__, arrows))),
+                 repeat(_UNDEFINED))
+    mismatched = list(map(ne, lefts, rights))
+    return ValidationReport.from_witnesses([
+        (format_violation, NATURALITY, (m,), "square at {} does not commute: {}.{} vs {}.{}",
+         m, tau(src.cod[m]), fmap[m], gmap[m], tau(src.dom[m]))
+        for m in nsmallest(MAX_VIOLATIONS, compress(arrows, mismatched))
+    ], mismatched.count(True))
+
+
+def identity_nat(f: FunctorMap, name: str = "id_t") -> NatTransf:
+    """The identity transformation on a functor."""
+    return NatTransf(
+        source=f,
+        target=f,
+        components={i: f.mapping[i] for i in f.source.identities},
+        name=name,
+    )

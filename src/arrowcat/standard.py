@@ -16,9 +16,7 @@ from operator import itemgetter, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from ._search import DEFAULT_ISO_CAP, check_cap
-from .core import MAX_MORPHISMS, ObjlessCategory, check_names, validate_objectless
-from .equivalence import find_category_isomorphism
+from .core import DEFAULT_ISO_CAP, MAX_MORPHISMS, ObjlessCategory, check_cap, check_names, validate_objectless
 from .errors import InvalidCategoryError
 from .report import (
     IDENTITY_MISSING,
@@ -222,7 +220,12 @@ def equal_up_to_renaming(
     right: StdCategory,
     max_morphisms: int = DEFAULT_ISO_CAP,
 ) -> tuple[dict[str, str], dict[str, str]] | None:
-    """A pair (object bijection, arrow bijection) transporting left onto right, or None."""
+    """A pair (object bijection, arrow bijection) transporting left onto right, or None.
+
+    The one decision of the text layer: the isomorphism search is imported only when it runs.
+    """
+    from .equivalence import find_category_isomorphism
+
     check_cap(max_morphisms, left.arrows, right.arrows)
     iso = find_category_isomorphism(to_objectless(left), to_objectless(right), max_morphisms)
     if iso is None:

@@ -193,6 +193,17 @@ def test_golden_diagnostics(case):
     assert [str(d) for d in exc.value.diagnostics] == case["diagnostics"]
 
 
+@pytest.mark.parametrize("name", ["twochain.cat", "galois.cat", "walking_iso_and_one.cat", "finsetdup.cat"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_source_spans_point_at_each_declared_name(name, newline):
+    text = (FIXTURES / name).read_text(encoding="utf-8").replace("\n", newline)
+    doc = parse(text)
+    lines = text.split("\n")
+    assert doc.source_spans
+    for (_, decl), span in doc.source_spans.items():
+        assert lines[span.line - 1][span.col - 1:].startswith(decl)
+
+
 _FUZZ_PIECES = st.sampled_from([
     " ", "\n", "\r", "\t", "\x0b", "#", "{", "}", ":", ";", ",", ".", "=", "[", "]", "-", ">",
     "->", "=>", "@", "é", "٣", "9", "_", "x", "A", "id_A", "objless", "category", "functor", "nat",

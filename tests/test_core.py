@@ -381,3 +381,16 @@ def test_opposite_is_valid_and_involutive(cat):
     for m in cat.morphisms:
         assert op.dom_id(m) == cat.cod_id(m)
         assert op.cod_id(m) == cat.dom_id(m)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_hash_is_cached_per_instance_and_follows_the_table(seed):
+    cat = gen_random(seed, 16)
+    again = ObjlessCategory.build(set(cat.morphisms), dict(cat.table))
+    assert again is not cat and hash(again) == hash(cat) == hash(cat)
+    # Each derived category hashes by its own table, not by a hash cached on its parent.
+    op, idents = cat.opposite(), sorted(cat.identities)[:2]
+    sub = cat.full_subcategory(idents)
+    assert hash(op) == hash(ObjlessCategory.build(op.morphisms, dict(op.table)))
+    assert hash(sub) == hash(ObjlessCategory.build(sub.morphisms, dict(sub.table)))
+    assert op.opposite() == cat and hash(op.opposite()) == hash(cat)
