@@ -3,11 +3,13 @@
 ``functor_search`` yields every covariant functor as a morphism map; with
 ``iso=True`` only the isomorphisms, the functors with a strict inverse.
 Identities are mapped first (in ``iso`` mode rarest hom-size signature
-first), then non-identities in name order, each within the hom class its
-ends pick out.  Each assignment is checked against the morphisms already
-assigned, in both composition orders, and against the pairs it is the
-composite of; in ``iso`` mode the map must also stay injective and keep
-undefined composites undefined.  Each table entry is checked when the last
+first), then non-identities in name order, each within the hom class its ends
+pick out.  Each assignment x is checked against the defined composites x.w
+and w.x with w assigned, read from the row and column indexes, and against
+the pairs x is the composite of; in ``iso`` mode the map must also stay
+injective.  Undefined composites need no check: w.x is defined iff cod x =
+dom w, candidates lie in the hom class of their mapped ends, and in ``iso``
+mode identities map injectively.  Each table entry is checked when the last
 of its two factors and its result is assigned, so the leaf yields the map
 without a second pass.
 
@@ -103,7 +105,6 @@ def functor_search(
     produced_by: dict[str, list[tuple[str, str]]] = {}
     for pair, r in src.table.items():
         produced_by.setdefault(r, []).append(pair)
-    table1, table2 = src.table, dst.table
     mapping: dict[str, str] = {}
     used: set[str] = set()
 
@@ -126,17 +127,17 @@ def functor_search(
                     return False
         return True
 
+    rows1, cols1, rows2, cols2 = src.rows, src.cols, dst.rows, dst.cols
+
     def consistent(x: str) -> bool:
+        # The composites x.w and w.x defined in src, with w assigned.
         fx = mapping[x]
-        for w, fw in mapping.items():
-            for r, rr in ((table1.get((x, w)), table2.get((fx, fw))),
-                          (table1.get((w, x)), table2.get((fw, fx)))):
-                if r is None:
-                    if iso and rr is not None:
-                        return False
+        for composites, images in ((rows1[x], rows2[fx]), (cols1[x], cols2[fx])):
+            for w, r in composites.items():
+                fw = mapping.get(w)
+                if fw is None:
                     continue
-                if rr is None:
-                    return False
+                rr = images.get(fw)
                 fr = mapping.get(r)
                 if fr is None:
                     # In iso mode rr is the only possible image of r, so it
@@ -148,7 +149,7 @@ def functor_search(
         for p, q in produced_by.get(x, ()):
             fp = mapping.get(p)
             fq = mapping.get(q)
-            if fp is not None and fq is not None and table2.get((fp, fq)) != fx:
+            if fp is not None and fq is not None and rows2[fp].get(fq) != fx:
                 return False
         return True
 
@@ -168,7 +169,10 @@ def functor_search(
             del mapping[x]
             used.discard(y)
 
-    yield from extend(0)
+    try:
+        yield from extend(0)
+    finally:
+        del extend  # extend calls itself through its closure; the cycle would pin src and dst
 
 
 def find_table_bijection(c1: ObjlessCategory, c2: ObjlessCategory) -> dict[str, str] | None:

@@ -7,12 +7,15 @@ are never declared: they are recovered from the table as the morphisms that
 are neutral in every composition they take part in.  Domains and codomains are
 the unique identities each morphism composes with on the right and on the
 left.
+
+Composition is also read by morphism, ``rows[g] = {b: g.b}`` and
+``cols[b] = {g: g.b}``: each built on first use, not by ``build``, so that a
+category only validated and scanned, as in the limit searches, holds neither.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import InitVar, dataclass
-from functools import cached_property
+from dataclasses import InitVar, dataclass, field
 from itertools import chain
 from operator import itemgetter
 from types import MappingProxyType
@@ -123,6 +126,14 @@ def _identity(m, right, witnesses):
     message = (f"{m} composes with {len(witnesses)} neutral morphisms on the right" if right
                else f"{len(witnesses)} neutral morphisms compose with {m} on the left")
     return violation(IDENTITY_NONUNIQUE, (m, *witnesses[:2]), message)
+
+
+def _index(names: Iterable[str], keys: Iterable[tuple[str, str]], results: Iterable[str]) -> dict[str, dict[str, str]]:
+    """``index[k] = {j: r}`` per key ``(k, j)`` and result ``r``; a table's keys swapped give its columns."""
+    index: dict[str, dict[str, str]] = {m: {} for m in names}
+    for (k, j), r in zip(keys, results):
+        index[k][j] = r
+    return index
 
 
 class _Table(dict):
@@ -263,6 +274,11 @@ class ObjlessCategory:
     dom: Mapping[str, str]
     cod: Mapping[str, str]
     _seal: InitVar[object] = None
+    # Set on first use with object.__setattr__: a cached property would make CPython 3.11
+    # materialise the instance dictionary, after which every attribute read costs about 2x.
+    _rows: dict[str, dict[str, str]] | None = field(default=None, compare=False, repr=False)
+    _cols: dict[str, dict[str, str]] | None = field(default=None, compare=False, repr=False)
+    _hash: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self, _seal: object) -> None:
         if _seal is not _SEAL:
@@ -289,12 +305,25 @@ class ObjlessCategory:
             cod=MappingProxyType(cod), _seal=_SEAL,
         )
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.morphisms, tuple(sorted(self.table.items()))))
-
     def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.morphisms, tuple(sorted(self.table.items())))))
         return self._hash
+
+    @property
+    def rows(self) -> dict[str, dict[str, str]]:
+        """``rows[g] = {b: g.b}`` for each morphism ``g``; read only."""
+        if self._rows is None:
+            object.__setattr__(self, "_rows", _index(self.morphisms, self.table, self.table.values()))
+        return self._rows
+
+    @property
+    def cols(self) -> dict[str, dict[str, str]]:
+        """``cols[b] = {g: g.b}`` for each morphism ``b``; read only."""
+        if self._cols is None:
+            cols = _index(self.morphisms, map(itemgetter(1, 0), self.table), self.table.values())
+            object.__setattr__(self, "_cols", cols)
+        return self._cols
 
     def __len__(self) -> int:
         return len(self.morphisms)
@@ -358,12 +387,17 @@ class ObjlessCategory:
         keep = frozenset(identities)
         for ident in keep:
             self._require_identity(ident)
+        if keep == self.identities:
+            return self  # categories are values, so the whole category is its own copy
         arrows = frozenset(m for m in self.morphisms if self.dom[m] in keep and self.cod[m] in keep)
-        table = {(g, f): r for (g, f), r in self.table.items() if g in arrows and f in arrows}
+        whole, columns = self.rows, self._cols  # this category's rows, and its columns if built
+        rows = {g: {b: gb for b, gb in whole[g].items() if b in arrows} for g in arrows}
+        cols = None if columns is None else {b: {g: gb for g, gb in columns[b].items() if g in arrows} for b in arrows}
+        table = {(g, b): gb for g, row in rows.items() for b, gb in row.items()}
         return ObjlessCategory(
             morphisms=arrows, table=MappingProxyType(table), identities=keep,
             dom=MappingProxyType({m: self.dom[m] for m in arrows}),
-            cod=MappingProxyType({m: self.cod[m] for m in arrows}), _seal=_SEAL,
+            cod=MappingProxyType({m: self.cod[m] for m in arrows}), _seal=_SEAL, _rows=rows, _cols=cols,
         )
 
     def opposite(self) -> "ObjlessCategory":
@@ -374,5 +408,5 @@ class ObjlessCategory:
             table=MappingProxyType(t),
             identities=self.identities,
             dom=self.cod,
-            cod=self.dom, _seal=_SEAL,
+            cod=self.dom, _seal=_SEAL, _rows=self._cols, _cols=self._rows,
         )

@@ -1,17 +1,18 @@
 """Isomorphisms, skeletons, and category equivalence.
 
 Natural transformations live in ``functors`` and are re-exported here; this
-module adds ``is_natural_isomorphism``, which needs ``is_isomorphism``.
-An isomorphism of categories is a functor with a strict inverse, found by
-``_search.functor_search`` in its ``iso`` mode.  The equivalence decision
-goes through skeletons: each category is collapsed onto chosen
-representatives of its isomorphism classes, and the skeletons are compared
-by that isomorphism search.  An exhaustive search is kept as an independent
-oracle: it enumerates every functor pair with the same ``functor_search``,
-then every choice of transformation components.  It shares the search
-engine with the isomorphism search but nothing with the skeleton route.
-The searches are not trusted: each public decision audits only the witness
-it returns, and a failed audit raises AssertionError, under ``-O`` too.
+module adds ``is_natural_isomorphism``, which needs ``is_isomorphism``; that
+one reads the inverse of f off the category's composition rows, without
+scanning every morphism.  An isomorphism of categories is a functor with a
+strict inverse, found by ``_search.functor_search`` in its ``iso`` mode.  The
+equivalence decision goes through skeletons: each category is collapsed onto
+chosen representatives of its isomorphism classes, and the skeletons are
+compared by that isomorphism search.  An exhaustive search is kept as an
+independent oracle: it enumerates every functor pair with the same
+``functor_search``, then every choice of transformation components.  It shares
+the search engine with the isomorphism search but nothing with the skeleton
+route.  The searches are not trusted: each public decision audits only the
+witness it returns, and a failed audit raises AssertionError, under ``-O`` too.
 """
 from __future__ import annotations
 
@@ -39,11 +40,9 @@ def is_isomorphism(cat: ObjlessCategory, f: str) -> str | None:
     """The unique two-sided inverse of f, or None when f is not invertible."""
     if f not in cat.morphisms:
         raise NameNotFoundError(f"unknown morphism {f!r}")
-    src, dst = cat.dom[f], cat.cod[f]
-    return next((
-        g for g in sorted(cat.hom_class(dst, src))
-        if cat.table.get((g, f)) == src and cat.table.get((f, g)) == dst
-    ), None)
+    # Inverses are unique, so the first g with f.g = cod f and g.f = dom f is the one.
+    src, dst, rows = cat.dom[f], cat.cod[f], cat.rows
+    return next((g for g, fg in rows[f].items() if fg == dst and rows[g].get(f) == src), None)
 
 
 def iso_classes(cat: ObjlessCategory) -> list[frozenset[str]]:
@@ -154,8 +153,9 @@ def _skeleton(cat: ObjlessCategory, seed: int) -> SkeletonResult:
         if ident == rep:
             to_rep[ident] = ident
             continue
+        # The morphisms ident -> rep: rep composes with them on the left, and they start at ident.
         to_rep[ident] = next(
-            f for f in sorted(cat.hom_class(ident, rep))
+            f for f in sorted(f for f in cat.rows[rep] if cat.dom[f] == ident)
             if is_isomorphism(cat, f) is not None
         )
     from_rep = {ident: is_isomorphism(cat, f) for ident, f in to_rep.items()}

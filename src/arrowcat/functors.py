@@ -3,23 +3,23 @@
 A functor is a single total map between morphism sets; its action on objects
 is just its action on identities, and an identity functor stands in for its
 category.  ``validate_functor`` checks each law once over all its entries:
-totality, stray keys and unknown names as set differences, the identity law
-as a filter, and the composition law as one comparison of two lists over the
-whole table, with the two factors swapped for a contravariant functor.  The
-entries that fail are counted, and only the first ``MAX_VIOLATIONS`` of them,
-each under its key in the covariant view (out of the opposite category if
-contravariant), are picked and formatted.  A natural transformation has one
-component per identity of its functors' shared source, and ``validate_nat``
-checks all its naturality squares the same way.  Nothing here searches: the
-decisions built on these arrows live in ``equivalence``, ``limits`` and
-``adjunction``.
+totality, stray keys and unknown names as set differences, the identity law as
+a filter, and the composition law row by row, one list comparison per morphism
+``g`` of ``F(g).F(b)``, read from the target's rows (factors swapped if
+contravariant), against ``F(g.b)``.  The entries that fail are counted, and
+only the first ``MAX_VIOLATIONS`` of them, each under its key in the covariant
+view (out of the opposite category if contravariant), are picked and
+formatted.  A natural transformation has one component per identity of its
+functors' shared source, and ``validate_nat`` checks all its naturality
+squares in one pass.  Nothing here searches: the decisions built on these
+arrows live in ``equivalence``, ``limits`` and ``adjunction``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import nsmallest
 from itertools import compress, repeat
-from operator import itemgetter, ne
+from operator import ne
 from types import MappingProxyType
 from typing import Mapping
 
@@ -99,36 +99,34 @@ def validate_functor(f: FunctorMap) -> ValidationReport:
                for key, value in sorted(item for item in mapping.items() if item[1] in unknown)]
         )
 
-    image = mapping.__getitem__
+    image = mapping.copy().__getitem__  # a dict lookup, faster than through the proxy
     found = [
         (format_violation, IDENTITY_LAW, (ident, image(ident)),
          "identity {} maps to non-identity {}", ident, image(ident))
         for ident in sorted(i for i in src.identities if image(i) not in dst.identities)
     ]
-    # The composition law as two aligned lists over the table: the composite
-    # of the images (None where undefined), and the image of each composite.
-    afters, befores = map(itemgetter(0), src.table), map(itemgetter(1), src.table)
-    if f.contravariant:
-        afters, befores = befores, afters
-    got = list(map(dst.table.get, zip(map(image, afters), map(image, befores))))
-    want = list(map(image, src.table.values()))
-    total = len(found)
-    if got != want:
-        mismatched = list(map(ne, got, want))
-        total += mismatched.count(True)
-        # Pick the failing entries by their key in the covariant view, where
-        # a contravariant functor's factors are swapped; only the picked ones
-        # are composed again and formatted.
-        keys = compress(src.table, mismatched)
-        swap = f.contravariant
-        for after, before in nsmallest(MAX_VIOLATIONS, ((b, a) for a, b in keys) if swap else keys):
-            composite = dst.table.get((image(after), image(before)))
-            result = src.table[(before, after) if swap else (after, before)]
-            found.append(
-                (format_violation, COMPOSITION_LAW, (after, before),
-                 "{}.{} is defined but its image composition is not", after, before) if composite is None else
-                (format_violation, COMPOSITION_LAW, (after, before, result),
-                 "image of {}.{} is {}, expected {}", after, before, composite, image(result)))
+    # The composition law row by row, as two aligned lists: the composite of
+    # the images (None where undefined), and the image of each composite.  A
+    # contravariant functor composes the images in the other order.
+    swap, drows, failed = f.contravariant, dst.rows, []
+    for g, row in src.rows.items():
+        fg, fbs = image(g), map(image, row)
+        got = list(map(dict.get, map(drows.__getitem__, fbs), repeat(fg)) if swap else map(drows[fg].get, fbs))
+        want = list(map(image, row.values()))
+        if got != want:
+            failed += [(b, g) if swap else (g, b) for b in compress(row, map(ne, got, want))]
+    total = len(found) + len(failed)
+    # Pick the failing entries by their key in the covariant view, where a
+    # contravariant functor's factors are swapped; only the picked ones are
+    # composed again and formatted.
+    for after, before in nsmallest(MAX_VIOLATIONS, failed):
+        composite = dst.table.get((image(after), image(before)))
+        result = src.table[(before, after) if swap else (after, before)]
+        found.append(
+            (format_violation, COMPOSITION_LAW, (after, before),
+             "{}.{} is defined but its image composition is not", after, before) if composite is None else
+            (format_violation, COMPOSITION_LAW, (after, before, result),
+             "image of {}.{} is {}, expected {}", after, before, composite, image(result)))
     return ValidationReport.from_witnesses(found, total)
 
 

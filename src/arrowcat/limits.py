@@ -28,12 +28,16 @@ class LimitCone:
     diagram: tuple[str, ...]
 
 
+def _stages(cat: ObjlessCategory) -> list[str]:
+    """Stages in a fixed order, so the work is the same under every hash seed; reversed, as the apex
+    loops go in name order and stop at the universal apex, the likeliest stage to refute earlier ones."""
+    return sorted(cat.identities, reverse=True)
+
+
 def terminal_objects(cat: ObjlessCategory) -> frozenset[str]:
     """Identities receiving exactly one morphism from every identity."""
-    return frozenset(
-        t for t in cat.identities
-        if all(len(cat.hom_class(x, t)) == 1 for x in cat.identities)
-    )
+    stages = _stages(cat)
+    return frozenset(t for t in stages if all(len(cat.hom_class(x, t)) == 1 for x in stages))
 
 
 def generalized_elements(cat: ObjlessCategory, target: str, stage: str) -> frozenset[str]:
@@ -42,7 +46,7 @@ def generalized_elements(cat: ObjlessCategory, target: str, stage: str) -> froze
 
 
 def _is_product_cone(cat: ObjlessCategory, apex: str, p: str, q: str, a: str, b: str) -> bool:
-    for x in cat.identities:
+    for x in _stages(cat):
         into_apex = sorted(cat.hom_class(x, apex))
         for f in cat.hom_class(x, a):
             for g in cat.hom_class(x, b):
@@ -71,7 +75,7 @@ def _is_equalizer_cone(cat: ObjlessCategory, apex: str, leg: str, f: str, g: str
     if cat.table.get((f, leg)) != cat.table.get((g, leg)) or cat.table.get((f, leg)) is None:
         return False
     src = cat.dom[f]
-    for x in cat.identities:
+    for x in _stages(cat):
         into_apex = sorted(cat.hom_class(x, apex))
         for h in cat.hom_class(x, src):
             if cat.table.get((f, h)) != cat.table.get((g, h)):

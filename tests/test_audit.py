@@ -12,10 +12,12 @@ unmapped morphism.
 from __future__ import annotations
 
 import dataclasses
+from itertools import islice
 
 import pytest
 
 from arrowcat import fixtures as fx, report
+from arrowcat._search import functor_search
 from arrowcat.adjunction import poset_adjunction, poset_functor
 from arrowcat.equivalence import NatTransf, identity_nat, skeleton, validate_nat
 from arrowcat.errors import WiringError
@@ -114,6 +116,37 @@ def test_functor_reports_match_reference_on_single_entry_edits(name):
             failing += not report.ok
     assert validate_functor(_variants(FUNCTORS[name])[1]).ok
     assert failing > checked // 2
+
+
+def _pool_functors(pool) -> list[FunctorMap]:
+    """Up to two functors between each ordered pair of pool categories, as the search finds them."""
+    return [
+        FunctorMap(source=a, target=b, mapping=m, name=f"{x}->{y}")
+        for x, a in sorted(pool.items()) for y, b in sorted(pool.items())
+        for m in islice(functor_search(a, b), 2)
+    ]
+
+
+def test_functor_reports_match_reference_on_the_pool(pool):
+    # The composition law is checked row by row through the index; every
+    # pool functor, covariant or contravariant, whole, partial (one key
+    # dropped) or broken (one key retargeted), must give the reference's
+    # report: the same verdict, total and messages.
+    checked = failing = 0
+    for base in _pool_functors(pool):
+        for f in _variants(base):
+            targets = sorted(f.target.morphisms)
+            edits = [f.mapping] + [
+                {**f.mapping, key: targets[(targets.index(value) + 1) % len(targets)]}
+                for key, value in sorted(f.mapping.items()) if len(targets) > 1
+            ] + [{k: v for k, v in f.mapping.items() if k != key} for key in sorted(f.mapping)[:3]]
+            for mapping in edits:
+                edited = dataclasses.replace(f, mapping=mapping)
+                report = validate_functor(edited)
+                assert report == reference_validate_functor(edited), (f.name, f.variance, mapping)
+                checked += 1
+                failing += not report.ok
+    assert checked > 5_000 and checked // 4 < failing < checked
 
 
 def _transformations() -> dict[str, NatTransf]:

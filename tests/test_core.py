@@ -394,3 +394,46 @@ def test_hash_is_cached_per_instance_and_follows_the_table(seed):
     assert hash(op) == hash(ObjlessCategory.build(op.morphisms, dict(op.table)))
     assert hash(sub) == hash(ObjlessCategory.build(sub.morphisms, dict(sub.table)))
     assert op.opposite() == cat and hash(op.opposite()) == hash(cat)
+
+
+def _rebuilt_index(cat: ObjlessCategory):
+    rows, cols = {m: {} for m in cat.morphisms}, {m: {} for m in cat.morphisms}
+    for (g, b), gb in cat.table.items():
+        rows[g][b] = gb
+        cols[b][g] = gb
+    return rows, cols
+
+
+def _derived(cat: ObjlessCategory) -> list[ObjlessCategory]:
+    idents = sorted(cat.identities)
+    return [cat, cat.opposite(), cat.full_subcategory(idents[::2]), cat.full_subcategory(idents[1:]),
+            cat.opposite().full_subcategory(idents[:1]), cat.full_subcategory(idents[1:]).opposite()]
+
+
+@pytest.mark.parametrize("built_first", [(), ("rows",), ("cols",), ("rows", "cols")])
+@pytest.mark.parametrize("seed", range(20))
+def test_index_of_derived_categories_matches_their_own_tables(seed, built_first):
+    # opposite() hands on what is built of the index, swapped, and
+    # full_subcategory() restricts it; either way it must be the index of
+    # the category's own table.
+    cat = gen_random(seed, 16)
+    for side in built_first:
+        getattr(cat, side)
+    for derived in _derived(cat):
+        assert (derived.rows, derived.cols) == _rebuilt_index(derived)
+        assert ObjlessCategory.build(derived.morphisms, dict(derived.table)) == derived
+
+
+def test_index_matches_the_table_on_the_fixture_pool(pool):
+    for name, cat in pool.items():
+        for derived in _derived(cat):
+            assert (derived.rows, derived.cols) == _rebuilt_index(derived), name
+
+
+def test_index_and_hash_take_no_part_in_equality_or_repr():
+    cat, again = fx.two_chain(), fx.two_chain()
+    # Fill in the hash and the index of cat only.
+    hash(cat)
+    cat.rows
+    assert cat == again and repr(cat) == repr(again) and hash(cat) == hash(again)
+    assert "_rows" not in repr(cat) and "_hash" not in repr(cat)

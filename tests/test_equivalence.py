@@ -67,6 +67,19 @@ def test_inverses_unique_and_match_bruteforce(cat):
     _check_inverses(cat)
 
 
+def test_inverses_match_bruteforce_on_the_pool(pool):
+    # is_isomorphism looks for the inverse among the composites of f in the
+    # row and column index; the oracle scans every morphism.
+    for cat in [*pool.values(), *NON_SKELETAL]:
+        _check_inverses(cat)
+        _check_inverses(cat.opposite())
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_inverses_match_bruteforce_on_random_categories(seed):
+    _check_inverses(gen_random(seed, 24))
+
+
 def test_iso_classes_finset_dup():
     blocks = iso_classes(fx.finset_dup())
     assert sorted(sorted(b) for b in blocks) == [

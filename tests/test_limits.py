@@ -1,6 +1,11 @@
 """Terminal objects, products, equalizers, and preservation reports."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from arrowcat import fixtures as fx
@@ -146,3 +151,48 @@ def test_terminals_unique_up_to_unique_iso():
                     if is_isomorphism(cat, f) is not None
                 ]
                 assert len(isos) == 1
+
+
+# hom_class calls over terminal_objects, every binary product and every
+# equalizer of the lattice of subsets of 4 bits, its elements named in a
+# fixed shuffled order.
+_COUNT_LOOKUPS = """
+from itertools import combinations_with_replacement
+from arrowcat import limits
+from arrowcat.core import ObjlessCategory
+from arrowcat.generators import Poset, gen_poset
+
+calls = 0
+scan = ObjlessCategory.hom_class
+
+def counted(self, a, b):
+    global calls
+    calls += 1
+    return scan(self, a, b)
+
+ObjlessCategory.hom_class = counted
+names = [f"s{k:02d}" for k in (5, 12, 0, 9, 3, 14, 7, 1, 10, 15, 2, 8, 13, 4, 11, 6)]
+covers = [(names[k], names[k | 1 << bit]) for k in range(16) for bit in range(4) if not k >> bit & 1]
+cat = gen_poset(Poset.from_covers(names, covers))
+limits.terminal_objects(cat)
+for a, b in combinations_with_replacement(sorted(cat.identities), 2):
+    limits.binary_product(cat, a, b)
+for _, members in sorted(cat.hom_classes().items()):
+    for f, g in combinations_with_replacement(members, 2):
+        limits.equalizer(cat, f, g)
+print(calls)
+"""
+
+
+def test_limit_searches_do_the_same_work_under_every_hash_seed():
+    # The checks visit identities in a fixed order, not in the order of a
+    # frozenset, which follows the per-process string hash.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    counts = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", _COUNT_LOOKUPS], env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        counts.append(int(done.stdout))
+    assert counts[0] == counts[1] > 0

@@ -1,7 +1,10 @@
-"""The functor search engine against the brute-force functor oracle, and its
-invariant pruning on equal-order groups."""
+"""The functor search engine against the brute-force functor oracle, its
+invariant pruning on equal-order groups, the first isomorphism it finds, and
+the memory it leaves behind."""
 from __future__ import annotations
 
+import gc
+import hashlib
 import random
 from itertools import combinations, product
 
@@ -12,7 +15,8 @@ from arrowcat import fixtures as fx
 from arrowcat._search import find_table_bijection, functor_search
 from arrowcat.core import ObjlessCategory
 from arrowcat.functors import FunctorMap, validate_functor
-from arrowcat.generators import gen_monoid, gen_random
+from arrowcat.generators import gen_finset, gen_monoid, gen_random
+from arrowcat.standard import to_objectless
 
 from conftest import brute_functors
 
@@ -139,3 +143,58 @@ def test_relabelled_groups_are_still_found(orders):
         found = find_table_bijection(a, b)
         assert found is not None and sorted(found.values()) == sorted(b.morphisms)
         assert validate_functor(FunctorMap(source=a, target=b, mapping=found)).ok
+
+
+def _relabel(cat: ObjlessCategory, prefix: str, seed: int) -> ObjlessCategory:
+    """The same category under a seeded renaming of its morphisms."""
+    names = sorted(cat.morphisms)
+    new = [f"{prefix}{k:02d}" for k in range(len(names))]
+    random.Random(seed).shuffle(new)
+    rename = dict(zip(names, new))
+    return ObjlessCategory.build(new, {(rename[a], rename[b]): rename[r] for (a, b), r in cat.table.items()})
+
+
+FINSET3 = to_objectless(gen_finset(3))
+# Pairs like those of the decide benchmark, and a digest of the first
+# isomorphism the search finds on each, pinned from the search as it was
+# before it checked composites through the row and column index.  A change
+# in the order the search visits its candidates changes the digest.
+FIRST_ISOMORPHISM = {
+    "finset": (FINSET3, _relabel(FINSET3, "h", 7), "a72023478b10a7dd"),
+    "cyclic24": (_group((24,)), _group((24,), "h", seed=7), "943b18109276712e"),
+    "z2xz2xz4": (_group((2, 2, 4)), _group((2, 2, 4), "h", seed=7), "668b71a283dd8304"),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(FIRST_ISOMORPHISM))
+def test_first_isomorphism_is_pinned(pair):
+    a, b, digest = FIRST_ISOMORPHISM[pair]
+    found = find_table_bijection(a, b)
+    assert _is_isomorphism(a, b, found)
+    assert hashlib.sha256(repr(sorted(found.items())).encode()).hexdigest()[:16] == digest
+
+
+def _abandoned_after_one_yield(a, b):
+    search = functor_search(a, b)
+    assert next(search)
+    del search
+
+
+@pytest.mark.parametrize("run", [
+    lambda a, b: list(functor_search(a, b)),
+    lambda a, b: find_table_bijection(a, a),
+    _abandoned_after_one_yield,
+], ids=["to-the-end", "first-result", "abandoned"])
+def test_a_search_leaves_no_garbage_cycle(run):
+    # The search recurses through a closure that refers to itself; unless the
+    # search breaks that cycle, the collector finds the categories it pins.
+    a, b = to_objectless(gen_finset(2)), to_objectless(gen_finset(2, (1,)))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        run(a, b)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
