@@ -198,36 +198,47 @@ class CatspecDocument:
 # A token is its text and its character offset.  Its kind needs no field:
 # only the eof token has empty text, and punctuation never equals an
 # identifier.  Tokens are plain tuples, since one is made per word of input.
-# A run token, ``("compose", offset, end, entries)``, stands for a run of
-# well-formed ``compose: g . f = h;`` statements, one ``(after, before,
-# result, offset)`` entry each.
+# A run token, ``(keyword, offset, end, entries)``, stands for a run of
+# well-formed statements of one ``_RUNS`` keyword, one entry per statement in
+# the form its reader records (for ``arrows:`` and ``objects:``, per name).
 _Token = tuple
 
 # Each match of ``_TOKEN_RE`` is one token with the whitespace and comments
 # before it; the groups are tried in order, and the last match is the empty
 # ``eof``.  A word (``\w+``: the characters ``str.isalnum`` accepts, and ``_``)
 # that is not a well-formed name is still an identifier token, with a
-# diagnostic.  ``parse`` lexes with ``_LEX_RE``, whose first alternative is a
-# well-formed compose statement with only spaces and tabs between its parts.
-# Such a statement opens a run, read by ``iter(scanner.match, None)`` over
-# ``_STATEMENT_RE``, one match per statement driven from C, up to the first
-# text that is not one; a statement with a comment or a line break between
-# its parts is lexed as its eight tokens.  ``_Parser.parse_compose`` takes a
-# run whole; before anything else consumes one, ``_Parser.advance`` re-lexes
-# it with ``_TOKEN_RE``, so every diagnostic comes from the token path.  A
-# comment must end at a newline or the end, or a failed match tries each
-# split of a run of ``#`` into comments.
+# diagnostic.  ``parse`` lexes with ``_LEX_RE``, which first tries a
+# well-formed ``compose``, ``map``, ``component`` or ``arrow`` statement or
+# ``arrows:`` or ``objects:`` list, with only spaces and tabs inside.  It opens
+# a run, read by ``iter(scanner.match, None)`` over that keyword's pattern
+# (compiled on first use, from the ``re`` cache, so an import pays for none),
+# one match per statement driven from C, up to the first text that is not a
+# statement of the same keyword; a statement with a comment or a line break
+# inside is lexed as its tokens.  The keyword's reader takes a run whole;
+# before anything else consumes one, ``_Parser.advance`` re-lexes it with
+# ``_TOKEN_RE``, so every diagnostic comes from the token path.  A comment
+# must end at a newline or the end, or a failed match tries each split of a
+# run of ``#`` into comments.
 _SKIP = r"[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*)*"
-_NAME = r"([A-Za-z_][A-Za-z0-9_]*)"
+_IDENT = "[A-Za-z_][A-Za-z0-9_]*"
+_NAME, _LIST = f"({_IDENT})", rf"([ \t]*{_IDENT}(?:[ \t]*,[ \t]*{_IDENT})*)"
 _TOKENS = r"""(?P<punct>->|=>|[{}:;,.=\[\]])
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)(?!\w)
     | (?P<word>\w+)
     | (?P<bad>.)
     | (?P<eof>\Z)"""
-_STATEMENT = "compose" + r"[ \t]*".join(("", ":", _NAME, r"\.", _NAME, "=", _NAME, ";"))
-_STATEMENT_RE = re.compile(_STATEMENT + _SKIP)
+_RUNS = {keyword: keyword + r"[ \t]*".join((*parts, ";")) for keyword, parts in (
+    ("compose", ("", ":", _NAME, r"\.", _NAME, "=", _NAME)),
+    ("map", (r"[ \t]", _NAME, "->", _NAME)),
+    ("component", (r"[ \t]", _NAME, ":", _NAME)),
+    ("arrow", (r"[ \t]", _NAME, ":", _NAME, "->", _NAME)),
+    ("arrows", ("", ":" + _LIST)),
+    ("objects", ("", ":" + _LIST)),
+)}
+_IDENT_RE = re.compile(_IDENT)
 _TOKEN_RE = re.compile(_SKIP + "(?:" + _TOKENS + ")", re.VERBOSE | re.DOTALL)
-_LEX_RE = re.compile(_SKIP + "(?:(?P<statement>" + _STATEMENT + ")|" + _TOKENS + ")", re.VERBOSE | re.DOTALL)
+_LEX_RE = re.compile(
+    _SKIP + "(?:" + "".join(f"(?P<{k}>{v})|" for k, v in _RUNS.items()) + _TOKENS + ")", re.VERBOSE | re.DOTALL)
 
 _PUNCT = frozenset(("->", "=>", "{", "}", ":", ";", ",", ".", "=", "[", "]"))  # the punct group's tokens
 _Pending = tuple[str, str, int]  # a diagnostic as (kind, message, offset)
@@ -239,7 +250,7 @@ def _lex(text: str, pattern: re.Pattern, start: int, end: int) -> tuple[list[_To
     while True:
         for match in pattern.finditer(text, start, end):
             kind = match.lastgroup
-            if kind == "statement":
+            if kind in _RUNS:
                 break
             value, offset = match[kind], match.start(kind)
             if kind == "bad":
@@ -250,9 +261,14 @@ def _lex(text: str, pattern: re.Pattern, start: int, end: int) -> tuple[list[_To
             tokens.append((value, offset))
             if kind == "eof":  # stop before the empty match that can follow an eof ending in a skip
                 return tokens, diagnostics
-        run = list(iter(_STATEMENT_RE.scanner(text, match.start(kind), end).match, None))
+        run = list(iter(re.compile(_RUNS[kind] + _SKIP).scanner(text, match.start(kind), end).match, None))
         start = run[-1].end()
-        tokens.append(("compose", run[0].start(), start, [(*m.groups(), m.start()) for m in run]))
+        if kind in ("arrows", "objects"):
+            entries = [(name[0], name.start()) for m in run for name in _IDENT_RE.finditer(text, *m.span(1))]
+        else:
+            group = 0 if kind == "compose" else 1  # compose entries are placed at the keyword
+            entries = [(*m.groups(), m.start(group)) for m in run]
+        tokens.append((kind, run[0].start(), start, entries))
 
 
 def _spans(text: str, offsets: Iterable[int]) -> dict[int, Span]:
@@ -292,12 +308,21 @@ class _Parser:
 
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
-        if len(tok) > 2:  # a run token not read by parse_compose: split it into its tokens
+        if len(tok) > 2:  # a run token not taken by its keyword's reader: split it into its tokens
             self.tokens[self.pos:self.pos + 1] = _lex(self.text, _TOKEN_RE, tok[1], tok[2])[0][:-1]
             tok = self.tokens[self.pos]
         if tok[0]:  # the eof token is never consumed
             self.pos += 1
         return tok
+
+    def take_run(self, entries: list) -> bool:
+        """Take a run token whole into ``entries``; at any other token, take nothing."""
+        tok = self.tokens[self.pos]
+        if len(tok) == 2:
+            return False
+        self.pos += 1
+        entries.extend(tok[3])
+        return True
 
     def at(self, value: str) -> bool:
         return self.tokens[self.pos][0] == value
@@ -400,29 +425,29 @@ class _Parser:
 
     def parse_names(self, noun: str, seen: dict[str, int]) -> None:
         """``arrows: a, b;`` or ``objects: A, B;``; records each new name's offset."""
-        self.advance()
-        self.expect_punct(":")
-        names = []
-        while True:
-            tok = self.expect_ident("a name")
-            if tok is not None:
-                names.append(tok)
-            if not self.at(","):
-                break
+        names: list[_Token] = []
+        taken = self.take_run(names)
+        if not taken:
             self.advance()
+            self.expect_punct(":")
+            while True:
+                tok = self.expect_ident("a name")
+                if tok is not None:
+                    names.append(tok)
+                if not self.at(","):
+                    break
+                self.advance()
         for name, offset in names:
             if name in seen:
                 self.error(DUPLICATE_NAME, f"duplicate {noun} {name!r}", offset)
             else:
                 seen[name] = offset
-        self.expect_terminator()
+        if not taken:
+            self.expect_terminator()
 
     def parse_compose(self, noun: str, entries: list[tuple[str, str, str, int]]) -> None:
         """``compose: after . before = result;``, with ``noun`` naming what each part must be."""
-        tok = self.tokens[self.pos]
-        if len(tok) > 2:  # a run of well-formed statements, lexed as one token
-            self.pos += 1
-            entries.extend(tok[3])
+        if self.take_run(entries):
             return
         _, offset = self.advance()
         self.expect_punct(":")  # reported when missing, but the statement is still read
@@ -436,6 +461,8 @@ class _Parser:
 
     def parse_pair(self, pairs: list[tuple[str, str, int]], *parts: str) -> None:
         """``keyword key <sep> value;``, recorded as (key, value, offset of key)."""
+        if self.take_run(pairs):
+            return
         idents = self.statement(*parts)
         if idents is not None:
             (key, offset), (value, _) = idents
@@ -466,6 +493,25 @@ class _Parser:
                 table[(after, before)] = result
         return table
 
+    def pairs_dict(
+        self, pairs: list[tuple[str, str, int]], keys: Container[str] | None, values: Container[str] | None,
+        twice: Callable[[str], str], bad_key: Callable[[str], str], bad_value: Callable[[str], str],
+    ) -> dict[str, str]:
+        """``(key, value, offset)`` pairs as a dict, first value kept; reports a key given twice,
+        a key not in ``keys`` and a value not in ``values`` (None: not checked), each with the
+        message its function makes of the name."""
+        mapping: dict[str, str] = {}
+        for key, value, offset in pairs:
+            if key in mapping:
+                self.error(DUPLICATE_NAME, twice(key), offset)
+                continue
+            if keys is not None and key not in keys:
+                self.error(UNKNOWN_NAME, bad_key(key), offset)
+            if values is not None and value not in values:
+                self.error(UNKNOWN_NAME, bad_value(value), offset)
+            mapping[key] = value
+        return mapping
+
     def parse_objless(self) -> None:
         header = self.statement("a category name", "{")
         if header is None:
@@ -494,16 +540,22 @@ class _Parser:
         entries: list[tuple[str, str, str, int]] = []
 
         def arrow_statement() -> None:
-            parts = self.statement("an arrow name", ":", "an object name", "->", "an object name")
-            if parts is None:
-                return
-            (arrow, offset), (dom, _), (cod, _) = parts
-            if arrow in arrows:
-                self.error(DUPLICATE_NAME, f"duplicate arrow {arrow!r}", offset)
-            else:
-                arrows[arrow] = (dom, cod)
-                arrow_offsets[arrow] = offset
-            self.expect_terminator()
+            declared: list[tuple[str, str, str, int]] = []
+            taken = self.take_run(declared)
+            if not taken:
+                parts = self.statement("an arrow name", ":", "an object name", "->", "an object name")
+                if parts is None:
+                    return
+                (arrow, offset), (dom, _), (cod, _) = parts
+                declared.append((arrow, dom, cod, offset))
+            for arrow, dom, cod, offset in declared:
+                if arrow in arrows:
+                    self.error(DUPLICATE_NAME, f"duplicate arrow {arrow!r}", offset)
+                else:
+                    arrows[arrow] = (dom, cod)
+                    arrow_offsets[arrow] = offset
+            if not taken:
+                self.expect_terminator()
 
         def id_statement() -> None:
             parts = self.statement("an object name", "=", "an arrow name")
@@ -586,18 +638,11 @@ class _Parser:
         for cat, offset in ((source, source_offset), (target, target_offset)):
             if cat not in self.doc.categories:
                 self.error(UNKNOWN_NAME, f"functor references unknown category {cat!r}", offset)
-        src_names = self.doc.morphism_names(source) if source in self.doc.categories else frozenset()
-        dst_names = self.doc.morphism_names(target) if target in self.doc.categories else frozenset()
-        mapping: dict[str, str] = {}
-        for key, value, offset in pairs:
-            if key in mapping:
-                self.error(DUPLICATE_NAME, f"morphism {key!r} mapped twice", offset)
-                continue
-            if source in self.doc.categories and key not in src_names:
-                self.error(UNKNOWN_NAME, f"map key {key!r} is not a morphism of {source}", offset)
-            if target in self.doc.categories and value not in dst_names:
-                self.error(UNKNOWN_NAME, f"map value {value!r} is not a morphism of {target}", offset)
-            mapping[key] = value
+        src_names = self.doc.morphism_names(source) if source in self.doc.categories else None
+        dst_names = self.doc.morphism_names(target) if target in self.doc.categories else None
+        mapping = self.pairs_dict(pairs, src_names, dst_names, lambda key: f"morphism {key!r} mapped twice",
+                                  lambda key: f"map key {key!r} is not a morphism of {source}",
+                                  lambda value: f"map value {value!r} is not a morphism of {target}")
 
         self.declare("functor", name_tok, self.doc.functors, FunctorDecl(
             name=name_tok[0], source=source, target=target, variance=variance, mapping=mapping,
@@ -626,27 +671,17 @@ class _Parser:
                     name_tok[1],
                 )
 
-        key_names: frozenset[str] = frozenset()
-        value_names: frozenset[str] = frozenset()
+        # Keys and values are checked only against a known, nonempty source and target.
+        key_names = value_names = None
         if source_decl is not None and source_decl.source in self.doc.categories:
             cat_decl = self.doc.categories[source_decl.source]
-            if isinstance(cat_decl, StandardDecl):
-                key_names = frozenset(cat_decl.std.objects)
-            else:
-                key_names = frozenset(cat_decl.morphisms)
+            key_names = cat_decl.std.objects if isinstance(cat_decl, StandardDecl) else frozenset(cat_decl.morphisms)
         if source_decl is not None and source_decl.target in self.doc.categories:
             value_names = self.doc.morphism_names(source_decl.target)
-
-        components: dict[str, str] = {}
-        for key, value, offset in triples:
-            if key in components:
-                self.error(DUPLICATE_NAME, f"component at {key!r} declared twice", offset)
-                continue
-            if key_names and key not in key_names:
-                self.error(UNKNOWN_NAME, f"component key {key!r} not found in the source category", offset)
-            if value_names and value not in value_names:
-                self.error(UNKNOWN_NAME, f"component value {value!r} not found in the target category", offset)
-            components[key] = value
+        components = self.pairs_dict(triples, key_names or None, value_names or None,
+                                     lambda key: f"component at {key!r} declared twice",
+                                     lambda key: f"component key {key!r} not found in the source category",
+                                     lambda value: f"component value {value!r} not found in the target category")
 
         self.declare("nat", name_tok, self.doc.nats, NatDecl(
             name=name_tok[0], source=source, target=target, components=components,

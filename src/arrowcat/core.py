@@ -11,13 +11,23 @@ left.
 Composition is also read by morphism, ``rows[g] = {b: g.b}`` and
 ``cols[b] = {g: g.b}``: each built on first use, not by ``build``, so that a
 category only validated and scanned, as in the limit searches, holds neither.
+
+Validation reads the table once.  Up to 255 morphisms, each row is a dense
+``bytes`` of length 256, ``row[m][b] = m.b`` by byte code, 255 where undefined.
+An entry ``g.m`` has ``(g.m).a == g.(m.a)`` at every ``a``, both undefined
+where ``m.a`` is, exactly when ``row[g.m] == row[m].translate(row[g])``: one
+C-level ``bytes.translate`` per entry.  Each entry ``m.a`` also needs equal 0/1
+columns, ``g.(m.a)`` defined exactly when ``g.m`` is; the row key sets then
+agree as well and need no check.  Codes of 256 or more morphisms do not fit a
+byte, so larger tables keep the column pass of C-level ``itemgetter`` lookups.
 """
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import InitVar, dataclass, field
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress, repeat
+from operator import add, itemgetter, mul, ne
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sized
 
@@ -136,41 +146,70 @@ def _index(names: Iterable[str], keys: Iterable[tuple[str, str]], results: Itera
     return index
 
 
+def _undeclared(names: frozenset[str], entries: Iterable[tuple[str, str, str]]) -> None:
+    name = next(name for entry in entries for name in entry if name not in names)
+    raise NameNotFoundError(f"table references undeclared morphism {name!r}")
+
+
+_UNDEFINED = 255  # the byte code of an undefined composite; morphisms take the codes below it
+_DEFINED = b"\x01" * _UNDEFINED + b"\x00"  # translates a code to 1 and 255 to 0
+
+
 class _Table(dict):
-    """A table read once, first result per pair kept: ``rows[g] = {b: g.b}``, ``cols[b] = {g: g.b}``.
+    """A table read once, first result per pair kept; morphism ``order[i]`` has code ``i``.
 
     ``conflicts`` holds a ``(make, *args)`` witness per conflicting duplicate, as
-    ``ValidationReport.from_witnesses`` takes them.
+    ``ValidationReport.from_witnesses`` takes them.  Up to 255 morphisms ``codes`` holds
+    the after, before and result codes of the entries, ``dense[i]`` is row ``i``, 256 bytes
+    with the code of ``i.j`` at ``j`` and 255 where undefined, and ``masks`` holds the rows
+    and the columns of the table with 1 where defined and 0 elsewhere.
     """
 
     def __init__(self, morphisms: Iterable[str], table: TableLike):
         self.names = names = frozenset(morphisms)
         check_names(names)
         check_count(len(names))
-        entries = None if isinstance(table, Mapping) else [tuple(entry) for entry in table]
-        if entries is None:
+        self.conflicts, self.dense, self._dicts = [], None, None
+        if isinstance(table, Mapping):
             self.update(table)  # a mapping holds no conflicting duplicates
-            declared = names.issuperset(chain.from_iterable(self)) and names.issuperset(self.values())
         else:
-            declared = names.issuperset(chain.from_iterable(entries))
-        if not declared:
-            for after, before, result in _entries(self) if entries is None else entries:
-                for name in (after, before, result):
-                    if name not in names:
-                        raise NameNotFoundError(f"table references undeclared morphism {name!r}")
-        self.conflicts = []
-        for after, before, result in entries or ():
-            prior = self.get((after, before))
-            if prior is not None and prior != result:
-                self.conflicts.append((_conflict, after, before, prior, result))
-            else:
-                self[(after, before)] = result
-        self.rows = rows = {m: {} for m in names}
-        self.cols = cols = {m: {} for m in names}
-        for (g, b), gb in self.items():
-            rows[g][b] = gb
-            cols[b][g] = gb
-        self.neutral = neutral_morphisms(names, self)
+            entries = [tuple(entry) for entry in table]
+            if not names.issuperset(chain.from_iterable(entries)):
+                _undeclared(names, entries)
+            self.conflicts = [(_conflict, g, b, prior, gb) for g, b, gb in entries
+                              if (prior := self.setdefault((g, b), gb)) != gb]
+        self.order, self.neutral, n = list(names), neutral_morphisms(names, self), len(names)
+        if n > _UNDEFINED:
+            if not (names.issuperset(chain.from_iterable(self)) and names.issuperset(self.values())):
+                _undeclared(names, _entries(self))
+            return
+        self.code = code = dict(zip(self.order, range(n)))
+        try:  # the codes also check that every name is declared
+            self.codes = codes = [list(map(code.__getitem__, part)) for part in (
+                map(itemgetter(0), self), map(itemgetter(1), self), self.values())]
+        except KeyError:
+            _undeclared(names, _entries(self))
+        flat = bytearray(b"\xff") * (n << 8)  # flat[g << 8 | b] = g.b, one C-level call per entry
+        deque(map(flat.__setitem__, map(add, map(mul, codes[0], repeat(256)), codes[1]), codes[2]), 0)
+        flat = bytes(flat)
+        self.dense = [flat[i:i + 256] for i in range(0, len(flat), 256)]
+        defined = flat.translate(_DEFINED)
+        self.masks = [defined[i:i + n] for i in range(0, len(flat), 256)], [defined[j::256] for j in range(n)]
+
+    def index(self) -> tuple[dict[str, dict[str, str]], dict[str, dict[str, str]]]:
+        """``rows[g] = {b: g.b}`` and ``cols[b] = {g: g.b}``, built on the first call."""
+        if self._dicts is None:
+            self._dicts = rows, cols = {m: {} for m in self.names}, {m: {} for m in self.names}
+            for (g, b), gb in self.items():
+                rows[g][b] = gb
+                cols[b][g] = gb
+        return self._dicts
+
+    def partners(self, m: str) -> list[Iterable[str]]:
+        """The ``b`` with ``m.b`` defined, and the ``g`` with ``g.m`` defined."""
+        if self.dense is None:
+            return [index[m] for index in self.index()]
+        return [compress(self.order, side[self.code[m]]) for side in self.masks]
 
 
 def _shared_keys(maps: Mapping[str, dict]) -> dict[str, frozenset[str]]:
@@ -179,26 +218,17 @@ def _shared_keys(maps: Mapping[str, dict]) -> dict[str, frozenset[str]]:
     return {m: shared.setdefault(keys, keys) for m, keys in ((m, frozenset(d)) for m, d in maps.items())}
 
 
-def validate_objectless(morphisms: Iterable[str], table: TableLike) -> ValidationReport:
-    """Check the associativity and identity-existence axioms on raw data.
-
-    Returns a total report: all violations are collected (bounded), nothing
-    raises on axiom failure.  Undeclared or malformed names are programming
-    errors and raise instead of being reported.
-
-    Column at once: the table is read once into ``rows[b] = {a: b.a}`` and ``cols[b] =
-    {g: g.b}``.  For each entry ``b.a = ba``, ``g.(ba)`` and ``(g.b).a`` for every ``g`` in
-    ``cols[b]`` are two C-level ``itemgetter`` lookups, into ``cols[ba]`` and ``cols[a]``.
-    The partial-existence parts are the inclusions ``cols[ba] <= cols[b]`` and ``rows[gb]
-    <= rows[b]``, one ``is`` test on shared key sets when they hold.  Only the entries of
-    a morphism that fails are walked ``g`` by ``g``, in table order, to report violations.
-    Each violation is kept as a raw witness tuple; only the first ``MAX_VIOLATIONS``
-    are formatted, so badly broken input costs no more than a count past the cap.
-    """
-    t = table if isinstance(table, _Table) else _Table(morphisms, table)
-    rows, cols = t.rows, t.cols
+def _failing(t: _Table) -> set[str]:
+    """The morphisms some entry of which fails the fast pass (see the module docstring)."""
+    if t.dense is not None:
+        (afters, befores, results), columns = t.codes, t.masks[1]
+        rows = [row[:len(t.order)] for row in t.dense]
+        failing = set(compress(befores, map(ne, map(rows.__getitem__, results), map(
+            bytes.translate, map(rows.__getitem__, befores), map(t.dense.__getitem__, afters)))))
+        failing.update(compress(afters, map(ne, map(columns.__getitem__, results), map(columns.__getitem__, afters))))
+        return set(map(t.order.__getitem__, failing))
+    rows, cols = t.index()
     col_keys, row_keys = _shared_keys(cols), _shared_keys(rows)
-    # Fast pass per morphism m; key sets are compared first, so no lookup can miss.
     failing = set()
     for m, row in rows.items():
         col = cols[m]
@@ -209,8 +239,36 @@ def validate_objectless(morphisms: Iterable[str], table: TableLike) -> Validatio
                  == list(map(itemgetter(*col.values()), map(cols.__getitem__, row))))
         ):
             failing.add(m)
+    return failing
+
+
+def _identities_hold(t: _Table) -> bool:
+    """On a dense table, whether every morphism has one neutral partner on each side.  Read as
+    big-endian integers, the masks of the neutral morphisms on a side sum to each morphism's
+    count of partners in its byte, with no carry: a count is at most 255."""
+    ones, neutral = int.from_bytes(b"\x01" * len(t.order), "big"), [t.code[m] for m in t.neutral]
+    return all(sum(int.from_bytes(side[i], "big") for i in neutral) == ones for side in t.masks)
+
+
+def validate_objectless(morphisms: Iterable[str], table: TableLike) -> ValidationReport:
+    """Check the associativity and identity-existence axioms on raw data.
+
+    Returns a total report: all violations are collected (bounded), nothing
+    raises on axiom failure.  Undeclared or malformed names are programming
+    errors and raise instead of being reported.
+
+    A fast pass in C-level maps, byte rows up to 255 morphisms and ``itemgetter``
+    columns above, only picks the morphisms that fail (see the module docstring).  The
+    entries of those are walked ``g`` by ``g``, in table order, to report violations, so
+    reports do not depend on the codes.  Each violation is kept as a raw witness tuple;
+    only the first ``MAX_VIOLATIONS`` are formatted, so badly broken input costs no
+    more than a count past the cap.
+    """
+    t = table if isinstance(table, _Table) else _Table(morphisms, table)
+    failing = _failing(t)
 
     equal, before_defined, after_defined, identity = [], [], [], []
+    rows, cols = t.index() if failing else ({}, {})
     for (b, a), ba in t.items() if failing else ():
         if b not in failing and a not in failing:
             continue
@@ -233,9 +291,9 @@ def validate_objectless(morphisms: Iterable[str], table: TableLike) -> Validatio
                 after_defined.append((_outer_without_tail, g, b, a))
 
     # Identity existence: every morphism needs one neutral partner on each side.
-    for m in sorted(t.names):
-        for partners, right in ((rows[m], True), (cols[m], False)):
-            witnesses = sorted(t.neutral & partners.keys())
+    for m in () if t.dense is not None and _identities_hold(t) else sorted(t.names):
+        for partners, right in zip(t.partners(m), (True, False)):
+            witnesses = sorted(t.neutral.intersection(partners))
             if len(witnesses) != 1:
                 identity.append((_identity, m, right, witnesses))
 
@@ -295,8 +353,9 @@ class ObjlessCategory:
         # dom and cod keep the declared name objects, in their order.
         dom, cod = dict.fromkeys(t.names), dict.fromkeys(t.names)
         for i in identities:
-            dom.update(dict.fromkeys(t.cols[i], i))
-            cod.update(dict.fromkeys(t.rows[i], i))
+            right, left = t.partners(i)
+            dom.update(dict.fromkeys(left, i))
+            cod.update(dict.fromkeys(right, i))
         return cls(
             morphisms=t.names,
             table=MappingProxyType(dict(t)),

@@ -154,6 +154,7 @@ MALFORMED_EXPECTATIONS = [
     ("duplicate_arrow.cat", "duplicate-name", 2),
     ("duplicate_category.cat", "duplicate-name", 6),
     ("duplicate_map.cat", "duplicate-name", 8),
+    ("long_map_run_conflict.cat", "duplicate-name", 50),
     ("missing_brace.cat", "syntax", 4),
     ("missing_semicolon.cat", "missing-terminator", 4),
     ("nat_wiring.cat", "wiring", 19),
@@ -210,6 +211,7 @@ _FUZZ_PIECES = st.sampled_from([
     "arrows", "objects", "arrow", "id", "compose", "map", "component", "contravariant",
     # Whole statements, so statement runs land in every block and list.
     "compose: a . b = c;", "compose:a.b=c;", "compose: a . b = c", "compose: compose . a = a;",
+    "map a -> b;", "map a->b;", "component a: b;", "arrow f: A -> B;", "arrows: a, b;", "objects: A;",
 ])
 
 
@@ -278,9 +280,17 @@ def test_statement_tokens_parse_as_the_token_path_does(name, monkeypatch):
         list(_single_edits("".join(text.splitlines(keepends=True)[:30]))), monkeypatch)
 
 
-def _runs(text: str) -> list[list[tuple[str, str, str, int]]]:
-    """The entries of each statement run that ``parse`` lexes in ``text``."""
-    return [tok[3] for tok in catspec._lex(text, catspec._LEX_RE, 0, len(text))[0] if len(tok) > 2]
+def _runs(text: str, keyword: str = "compose") -> list[list[tuple]]:
+    """The entries of each run of ``keyword`` statements that ``parse`` lexes in ``text``."""
+    return [tok[3] for tok in catspec._lex(text, catspec._LEX_RE, 0, len(text))[0] if len(tok) > 2 and tok[0] == keyword]
+
+
+def test_every_run_keyword_opens_a_run_in_the_fixtures():
+    keywords = set()
+    for name in ("twochain.cat", "galois.cat"):
+        text = (FIXTURES / name).read_text(encoding="utf-8")
+        keywords.update(tok[0] for tok in catspec._lex(text, catspec._LEX_RE, 0, len(text))[0] if len(tok) > 2)
+    assert keywords == set(catspec._RUNS) == {"compose", "map", "component", "arrow", "arrows", "objects"}
 
 
 def test_edits_at_the_edges_of_a_long_run_parse_as_the_token_path_does(monkeypatch):
@@ -289,6 +299,17 @@ def test_edits_at_the_edges_of_a_long_run_parse_as_the_token_path_does(monkeypat
     assert [len(run) for run in _runs(text)] == [40]
     # Lines 2, 21 and 41 hold the first, a middle and the last statement.
     _assert_parsed_as_the_token_path_does(list(_single_edits(text, lines={2, 21, 41})), monkeypatch)
+
+
+def test_edits_at_the_edges_of_a_long_map_run_parse_as_the_token_path_does(monkeypatch):
+    arrows = [f"a{i}" for i in range(40)]
+    statements = [f"  map a{i} -> a{i * 7 % 40};\n" for i in range(40)]
+    text = "objless R {\n  arrows: " + ", ".join(arrows) + ";\n}\nfunctor F: R -> R {\n" + "".join(statements) + "}\n"
+    assert [len(run) for run in _runs(text, "map")] == [40]
+    [names] = _runs(text, "arrows")
+    assert [name for name, _ in names] == arrows and all(text.startswith(a, at) for a, at in names)
+    # Lines 4, 23 and 43 hold the first, a middle and the last statement.
+    _assert_parsed_as_the_token_path_does(list(_single_edits(text, lines={4, 23, 43})), monkeypatch)
 
 
 def test_a_comment_or_line_break_inside_a_statement_leaves_it_to_the_token_path(monkeypatch):

@@ -2,8 +2,12 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +25,7 @@ from arrowcat.errors import (
     NameNotFoundError,
     NotAnIdentityError,
 )
-from arrowcat.generators import gen_cyclic, gen_random
+from arrowcat.generators import Poset, gen_cyclic, gen_poset, gen_random
 from arrowcat.report import MAX_VIOLATIONS, violation
 
 from conftest import brute_identities, brute_neutral, reference_validate_objectless
@@ -198,6 +202,64 @@ def test_kernel_matches_reference_on_seeded_edits(seed):
     items = list(table.items())
     rng.shuffle(items)
     _assert_matches_reference(names, dict(items))
+
+
+@pytest.mark.parametrize("n", [22, 23])
+def test_kernel_matches_reference_on_both_sides_of_the_byte_threshold(n):
+    # The 22-chain's 253 arrows fit byte codes and take the byte-row pass; the
+    # 23-chain's 276 do not and take the itemgetter pass.
+    cat = gen_poset(Poset.chain([f"c{i:02d}" for i in range(n)]))
+    names, table = sorted(cat.morphisms), dict(cat.table)
+    assert (core._Table(names, table).dense is None) == (len(names) > 255) == (n == 23)
+    _assert_matches_reference(names, table)
+    rng = random.Random(n)
+    for _ in range(50):
+        edited = dict(table)
+        pair = (rng.choice(names), rng.choice(names))
+        if pair in edited and rng.random() < 0.4:
+            del edited[pair]
+        else:
+            edited[pair] = rng.choice(names)
+        _assert_matches_reference(names, edited)
+
+
+def test_the_fast_pass_picks_no_morphism_of_a_valid_category(pool):
+    # A pass that picks too many morphisms still reports right, since the walk
+    # over their entries is exact, but it walks for nothing.
+    chains = [gen_poset(Poset.chain([f"c{i:02d}" for i in range(n)])) for n in (22, 23)]
+    for cat in [*pool.values(), *chains, *(gen_random(seed, 16) for seed in range(20))]:
+        t = core._Table(cat.morphisms, cat.table)
+        assert core._failing(t) == set() and (t.dense is None or core._identities_hold(t))
+
+
+_PERTURBED_FINSET_REPORT = """
+import random
+from arrowcat.core import validate_objectless
+from arrowcat.generators import gen_finset
+std = gen_finset(3, (1, 2))
+names, table, rng = sorted(std.arrows), dict(sorted(std.table.items())), random.Random(3)
+for _ in range(12):
+    table[(rng.choice(names), rng.choice(names))] = rng.choice(names)
+print(validate_objectless(names, table))
+# Without the identity of n0 only the identity checks fail.
+table = {(g, b): gb for (g, b), gb in sorted(std.table.items()) if std.id_of["n0"] not in (g, b)}
+print(validate_objectless(names, table))
+"""
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    # Byte codes follow the order of a frozenset, which follows the per-process
+    # string hash; the report must not.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", _PERTURBED_FINSET_REPORT], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        reports.append(done.stdout)
+    assert reports[0] == reports[1]
+    assert "associativity" in reports[0] and "identity-missing" in reports[0]
 
 
 @pytest.mark.parametrize("name", ["finset2", "cyclic5", "chain4"])
