@@ -25,6 +25,8 @@ differ are rejected before any branching.  A morphism is offered only the
 candidates with its invariant, still in name order; the others lead to no
 isomorphism, so the first isomorphism found is the one an unpruned search
 finds.
+What it reads of one category alone, from hom sizes to candidate lists, is
+built once per category, on first use, and kept on the category.
 The search is not trusted: the public decisions audit what they return.
 """
 from __future__ import annotations
@@ -41,12 +43,16 @@ BRUTE_FORCE_CAP = 12
 BRUTE_FORCE_PAIRS = 100_000
 
 
+def _grouped(pairs) -> dict:
+    """``{key: [value, ...]}`` in the order the pairs come."""
+    groups: dict = {}
+    for key, value in pairs:
+        groups.setdefault(key, []).append(value)
+    return groups
+
+
 def _hom_sizes(cat: ObjlessCategory) -> dict[tuple[str, str], int]:
-    sizes: dict[tuple[str, str], int] = {}
-    for m in cat.morphisms:
-        key = (cat.dom[m], cat.cod[m])
-        sizes[key] = sizes.get(key, 0) + 1
-    return sizes
+    return Counter(zip(map(cat.dom.__getitem__, cat.morphisms), map(cat.cod.__getitem__, cat.morphisms)))
 
 
 def _identity_signature(cat, sizes, ident):
@@ -73,6 +79,35 @@ def _invariants(cat: ObjlessCategory, sizes: dict[tuple[str, str], int]) -> dict
     return out
 
 
+def _hom_lists(cat: ObjlessCategory, labels: dict[str, tuple]) -> dict[tuple, list[str]]:
+    """A search's candidates: the morphisms of each hom class and label (None if unlabelled), in name order."""
+    return _grouped(((cat.dom[m], cat.cod[m], labels.get(m)), m) for m in sorted(cat.morphisms))
+
+
+# Each table ``_fact`` keeps; signatures come with their multiset and the identities of each.
+_FACTS = {
+    "sizes": _hom_sizes,
+    "invariants": lambda cat: (inv := _invariants(cat, _fact(cat, "sizes")), Counter(inv.values())),
+    "signatures": lambda cat: (sig := {i: _identity_signature(cat, _fact(cat, "sizes"), i) for i in cat.identities},
+                               Counter(sig.values()), _grouped((sig[i], i) for i in sorted(cat.identities))),
+    "hom": lambda cat: _hom_lists(cat, {}),
+    "iso_hom": lambda cat: _hom_lists(cat, _fact(cat, "invariants")[0]),
+    "ids": lambda cat: sorted(cat.identities),
+    "arrows": lambda cat: sorted(cat.morphisms - cat.identities),
+    "produced_by": lambda cat: _grouped((r, pair) for pair, r in cat.table.items()),
+}
+
+
+def _fact(cat: ObjlessCategory, name):
+    """The table ``name`` of ``cat``, kept on the category: it is immutable, so each is built once."""
+    facts = cat._tables
+    if facts is None:
+        object.__setattr__(cat, "_tables", facts := {})
+    if name not in facts:
+        facts[name] = _FACTS[name](cat)
+    return facts[name]
+
+
 def functor_search(
     src: ObjlessCategory, dst: ObjlessCategory, *, iso: bool = False,
 ) -> Iterator[dict[str, str]]:
@@ -81,38 +116,26 @@ def functor_search(
         len(dst), len(dst.identities), len(dst.table)
     ):
         return
-    sizes1 = _hom_sizes(src)
-    sizes2 = _hom_sizes(dst)
-    ids2 = sorted(dst.identities)
+    # In iso mode the invariant multisets are compared before any signature is built.
+    if iso and (_fact(src, "invariants")[1] != _fact(dst, "invariants")[1]
+                or _fact(src, "signatures")[1] != _fact(dst, "signatures")[1]):
+        return
+    sizes1, sizes2, ids2, produced_by = (_fact(src, "sizes"), _fact(dst, "sizes"), _fact(dst, "ids"),
+                                         _fact(src, "produced_by"))
+    inv1, hom2 = (_fact(src, "invariants")[0], _fact(dst, "iso_hom")) if iso else ({}, _fact(dst, "hom"))
     if iso:
-        inv1, inv2 = _invariants(src, sizes1), _invariants(dst, sizes2)
-        if Counter(inv1.values()) != Counter(inv2.values()):
-            return
-        sig1 = {i: _identity_signature(src, sizes1, i) for i in src.identities}
-        sig2 = {i: _identity_signature(dst, sizes2, i) for i in dst.identities}
-        freq = Counter(sig1.values())
-        if freq != Counter(sig2.values()):
-            return
-        order = sorted(src.identities, key=lambda i: (freq[sig1[i]], sig1[i], i))
+        (sig1, freq, _), by_sig2 = _fact(src, "signatures"), _fact(dst, "signatures")[2]
+        order = sorted(src.identities, key=lambda i: (freq[sig1[i]], sig1[i], i)) + _fact(src, "arrows")
     else:
-        order = sorted(src.identities)
-        inv1, inv2 = dict.fromkeys(src.morphisms), dict.fromkeys(dst.morphisms)
-    order += sorted(m for m in src.morphisms if m not in src.identities)
-
-    hom2: dict[tuple[str, str, tuple | None], list[str]] = {}
-    for m in sorted(dst.morphisms):
-        hom2.setdefault((dst.dom[m], dst.cod[m], inv2[m]), []).append(m)
-    produced_by: dict[str, list[tuple[str, str]]] = {}
-    for pair, r in src.table.items():
-        produced_by.setdefault(r, []).append(pair)
+        order = _fact(src, "ids") + _fact(src, "arrows")
     mapping: dict[str, str] = {}
     used: set[str] = set()
 
     def candidates(x: str):
         if x not in src.identities:
-            return hom2.get((mapping[src.dom[x]], mapping[src.cod[x]], inv1[x]), ())
+            return hom2.get((mapping[src.dom[x]], mapping[src.cod[x]], inv1.get(x)), ())
         if iso:
-            return [b for b in ids2 if sig2[b] == sig1[x]]
+            return by_sig2.get(sig1[x], ())
         return ids2
 
     def homs_fit(a: str) -> bool:

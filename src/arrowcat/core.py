@@ -9,8 +9,9 @@ the unique identities each morphism composes with on the right and on the
 left.
 
 Composition is also read by morphism, ``rows[g] = {b: g.b}`` and
-``cols[b] = {g: g.b}``: each built on first use, not by ``build``, so that a
-category only validated and scanned, as in the limit searches, holds neither.
+``cols[b] = {g: g.b}``, and the inverse of each invertible ``f`` is kept in
+``inverses``: each built on first use, not by ``build``, so that a category
+only validated and scanned, as in the limit searches, holds none of them.
 
 Validation reads the table once.  Up to 255 morphisms, each row is a dense
 ``bytes`` of length 256, ``row[m][b] = m.b`` by byte code, 255 where undefined.
@@ -337,6 +338,8 @@ class ObjlessCategory:
     _rows: dict[str, dict[str, str]] | None = field(default=None, compare=False, repr=False)
     _cols: dict[str, dict[str, str]] | None = field(default=None, compare=False, repr=False)
     _hash: int | None = field(default=None, compare=False, repr=False)
+    _inverses: dict[str, str] | None = field(default=None, compare=False, repr=False)
+    _tables: dict | None = field(default=None, compare=False, repr=False)  # kept by _search.functor_search
 
     def __post_init__(self, _seal: object) -> None:
         if _seal is not _SEAL:
@@ -384,6 +387,20 @@ class ObjlessCategory:
             object.__setattr__(self, "_cols", cols)
         return self._cols
 
+    @property
+    def inverses(self) -> dict[str, str]:
+        """``inverses[f] = g`` for each invertible ``f``: ``f.g = cod f`` and ``g.f = dom f``; read only."""
+        if self._inverses is None:
+            rows, dom, cod, inverses = self.rows, self.dom, self.cod, {}
+            for f, row in rows.items():
+                for g, fg in row.items():
+                    if fg == cod[f]:  # the only such g if f is invertible; then it is the inverse
+                        if rows[g].get(f) == dom[f]:
+                            inverses[f] = g
+                        break
+            object.__setattr__(self, "_inverses", inverses)
+        return self._inverses
+
     def __len__(self) -> int:
         return len(self.morphisms)
 
@@ -395,10 +412,6 @@ class ObjlessCategory:
         self._require(name)
         if name not in self.identities:
             raise NotAnIdentityError(f"{name!r} is not an identity")
-
-    def is_identity(self, name: str) -> bool:
-        self._require(name)
-        return name in self.identities
 
     def dom_id(self, name: str) -> str:
         """The unique identity i with name.i defined."""
@@ -467,5 +480,5 @@ class ObjlessCategory:
             table=MappingProxyType(t),
             identities=self.identities,
             dom=self.cod,
-            cod=self.dom, _seal=_SEAL, _rows=self._cols, _cols=self._rows,
+            cod=self.dom, _seal=_SEAL, _rows=self._cols, _cols=self._rows, _inverses=self._inverses,
         )

@@ -2,8 +2,11 @@
 
 Natural transformations live in ``functors`` and are re-exported here; this
 module adds ``is_natural_isomorphism``, which needs ``is_isomorphism``; that
-one reads the inverse of f off the category's composition rows, without
-scanning every morphism.  An isomorphism of categories is a functor with a
+one looks f up in the category's inverse index, built once per category from
+its composition rows.  ``iso_classes``, the skeleton's isomorphisms onto the
+representatives and the brute-force components read the same index; the
+audit takes from it only candidates, and checks each inverse by two table
+lookups of its own.  An isomorphism of categories is a functor with a
 strict inverse, found by ``_search.functor_search`` in its ``iso`` mode.  The
 equivalence decision goes through skeletons: each category is collapsed onto
 chosen representatives of its isomorphism classes, and the skeletons are
@@ -40,22 +43,18 @@ def is_isomorphism(cat: ObjlessCategory, f: str) -> str | None:
     """The unique two-sided inverse of f, or None when f is not invertible."""
     if f not in cat.morphisms:
         raise NameNotFoundError(f"unknown morphism {f!r}")
-    # Inverses are unique, so the first g with f.g = cod f and g.f = dom f is the one.
-    src, dst, rows = cat.dom[f], cat.cod[f], cat.rows
-    return next((g for g, fg in rows[f].items() if fg == dst and rows[g].get(f) == src), None)
+    return cat.inverses.get(f)
 
 
 def iso_classes(cat: ObjlessCategory) -> list[frozenset[str]]:
     """Partition of the identities under "some morphism between them is invertible".
 
-    One pass over the table: g.f = dom f with f.g = cod f makes f invertible.
-    Isomorphisms compose, so each identity meets its whole class directly.
+    One pass over the category's inverse index.  Isomorphisms compose, so
+    each identity meets its whole class directly.
     """
-    dom, cod, table = cat.dom, cat.cod, cat.table
     related = {ident: {ident} for ident in cat.identities}
-    for (g, f), r in table.items():
-        if r == dom[f] and table.get((f, g)) == cod[f]:
-            related[dom[f]].add(cod[f])
+    for f in cat.inverses:
+        related[cat.dom[f]].add(cat.cod[f])
     return sorted({frozenset(block) for block in related.values()}, key=min)
 
 
@@ -84,11 +83,12 @@ def _inverse(functor: FunctorMap, name: str) -> FunctorMap:
 
 
 def is_natural_isomorphism(nat: NatTransf) -> bool:
-    """True iff every component is invertible in the target category."""
+    """True iff every component is invertible in the target category: the inverse index only
+    names a candidate, which two table lookups confirm, so the audit does not rest on the index."""
     dst = nat.source.target
-    return all(
-        is_isomorphism(dst, comp) is not None for comp in nat.components.values()
-    )
+    table, dom, cod = dst.table, dst.dom, dst.cod
+    return all(table.get((c, g)) == cod[c] and table.get((g, c)) == dom[c]
+               for c, g in ((c, is_isomorphism(dst, c)) for c in nat.components.values()))
 
 
 def _audit(functors: Iterable[FunctorMap] = (), nat_isos: Iterable[NatTransf] = ()) -> None:
@@ -142,50 +142,27 @@ def _skeleton(cat: ObjlessCategory, seed: int) -> SkeletonResult:
 
     representatives: dict[str, str] = {}
     for block in iso_classes(cat):
-        rep = min(block, key=lambda name: rank[name])
-        for ident in block:
-            representatives[ident] = rep
+        representatives.update(dict.fromkeys(block, min(block, key=rank.__getitem__)))
     reps = set(representatives.values())
 
-    to_rep: dict[str, str] = {}
-    for ident in names:
-        rep = representatives[ident]
-        if ident == rep:
-            to_rep[ident] = ident
-            continue
-        # The morphisms ident -> rep: rep composes with them on the left, and they start at ident.
-        to_rep[ident] = next(
-            f for f in sorted(f for f in cat.rows[rep] if cat.dom[f] == ident)
-            if is_isomorphism(cat, f) is not None
-        )
-    from_rep = {ident: is_isomorphism(cat, f) for ident, f in to_rep.items()}
+    # Each identity off its representative goes to it by the least-named isomorphism ident -> rep.
+    dom, cod, inverse, least = cat.dom, cat.cod, cat.inverses, {}
+    for f in sorted(f for f in inverse if cod[f] == representatives[dom[f]] != dom[f]):
+        least.setdefault(dom[f], f)
+    to_rep = {ident: least.get(ident, ident) for ident in names}
+    from_rep = {ident: inverse[f] for ident, f in to_rep.items()}
 
     skel = cat.full_subcategory(reps)
 
-    inclusion = FunctorMap(
-        source=skel, target=cat,
-        mapping={m: m for m in skel.morphisms},
-        name="inclusion",
-    )
-    retraction_map = {}
-    for m in cat.morphisms:
-        inner = cat.table[(m, from_rep[cat.dom[m]])]
-        retraction_map[m] = cat.table[(to_rep[cat.cod[m]], inner)]
+    inclusion = FunctorMap(source=skel, target=cat, mapping={m: m for m in skel.morphisms}, name="inclusion")
+    rows = cat.rows  # m goes to to_rep[cod m] . m . from_rep[dom m]
+    retraction_map = {m: rows[to_rep[cod[m]]][rows[m][from_rep[dom[m]]]] for m in cat.morphisms}
     retraction = FunctorMap(source=cat, target=skel, mapping=retraction_map, name="retraction")
 
-    witness = NatTransf(
-        source=functor_identity(cat),
-        target=functor_compose(inclusion, retraction),
-        components=to_rep,
-        name="skeleton_witness",
-    )
-    return SkeletonResult(
-        skeleton=skel,
-        inclusion=inclusion,
-        retraction=retraction,
-        witness=witness,
-        representatives=MappingProxyType(representatives),
-    )
+    witness = NatTransf(source=functor_identity(cat), target=functor_compose(inclusion, retraction),
+                        components=to_rep, name="skeleton_witness")
+    return SkeletonResult(skeleton=skel, inclusion=inclusion, retraction=retraction, witness=witness,
+                          representatives=MappingProxyType(representatives))
 
 
 @dataclass(frozen=True)
@@ -251,10 +228,7 @@ def are_equivalent(
 def _find_nat_iso(cat: ObjlessCategory, roundtrip: dict[str, str]) -> dict[str, str] | None:
     """Components of a natural isomorphism Id -> roundtrip, by exhaustive choice."""
     idents = sorted(cat.identities)
-    candidates = [
-        [f for f in sorted(cat.hom_class(i, roundtrip[i])) if is_isomorphism(cat, f) is not None]
-        for i in idents
-    ]
+    candidates = [sorted(f for f in cat.inverses if (cat.dom[f], cat.cod[f]) == (i, roundtrip[i])) for i in idents]
     for chosen in product(*candidates):
         components = dict(zip(idents, chosen))
         if all(

@@ -117,6 +117,42 @@ def _check_iso_classes(cat):
                         assert not brute_iso_related(cat, a, b)
 
 
+def _thick_preorder(levels: list[int]) -> ObjlessCategory:
+    """One arrow x -> y whenever levels[x] <= levels[y]: the objects of a level are isomorphic."""
+    objs = range(len(levels))
+    arrows = [f"t{x}_{y}" for x in objs for y in objs if levels[x] <= levels[y]]
+    table = {(f"t{y}_{z}", f"t{x}_{y}"): f"t{x}_{z}"
+             for x in objs for y in objs for z in objs if levels[x] <= levels[y] <= levels[z]}
+    return ObjlessCategory.build(arrows, table)
+
+
+# 256 morphisms or more, past the byte codes of the kernel: 324 thin arrows on
+# 8 classes of 3, and 264 thin arrows on 11 classes of 2 with a random non-thin
+# part beside them.
+LARGE = [_thick_preorder([i // 3 for i in range(24)]),
+         disjoint_union(_thick_preorder([i // 2 for i in range(22)]), gen_random(5, 24))]
+
+
+@pytest.mark.parametrize("cat", LARGE, ids=["thick-324", "thick-and-random"])
+def test_inverse_index_matches_bruteforce_on_large_categories(cat):
+    assert len(cat) >= 256
+    _check_inverses(cat)
+    _check_iso_classes(cat)
+
+
+@pytest.mark.parametrize("cat", [*LARGE, *NON_SKELETAL[:6]])
+def test_inverse_index_of_derived_categories_matches_bruteforce(cat):
+    # The index is built before the category is turned round or restricted,
+    # so opposite() hands it on; each derived index must still be its own.
+    cat = ObjlessCategory.build(cat.morphisms, cat.table)
+    assert cat.inverses is cat.inverses
+    idents = sorted(cat.identities)
+    for derived in (cat.opposite(), cat.full_subcategory(idents[::2]), cat.full_subcategory(idents[1:]).opposite(),
+                    cat.opposite().full_subcategory(idents[:3])):
+        _check_inverses(derived)
+        _check_iso_classes(derived)
+
+
 def _brute_representatives(cat) -> list[str]:
     """The least identity of each class, by direct isomorphism scans."""
     idents = sorted(cat.identities)
@@ -392,3 +428,32 @@ def test_audit_rejects_a_planted_wrong_witness(monkeypatch, search, fake, decide
     monkeypatch.setattr(equivalence, search, fake)
     with pytest.raises(AssertionError, match="identity g0 maps to non-identity g1"):
         decide()
+
+
+def _split_idempotent() -> ObjlessCategory:
+    """r: a -> b and s: b -> a with r.s = ib but s.r = e, an idempotent on a: r is no isomorphism."""
+    table = {("ia", "ia"): "ia", ("ib", "ib"): "ib", ("e", "e"): "e", ("r", "s"): "ib", ("s", "r"): "e"}
+    table.update({(m, "ia"): m for m in ("ia", "r", "e")} | {("ia", m): m for m in ("ia", "s", "e")})
+    table.update({("ib", "r"): "r", ("s", "ib"): "s", ("r", "e"): "r", ("e", "s"): "s"})
+    return ObjlessCategory.build(["ia", "ib", "e", "r", "s"], table)
+
+
+def test_audit_checks_inverses_without_the_index():
+    # An index naming s as the inverse of r merges the two identities, and the
+    # skeleton then picks r or s as a witness component.  The audit must see
+    # through it by its own table lookups: with ib as the representative the
+    # witness is natural, so only that check can reject it.
+    cat = _split_idempotent()
+    assert is_isomorphism(cat, "r") is None and len(iso_classes(cat)) == 2
+    object.__setattr__(cat, "_inverses", {**cat.inverses, "r": "s", "s": "r"})
+    assert is_isomorphism(cat, "r") == "s" and iso_classes(cat) == [frozenset({"ia", "ib"})]
+    representatives = set()
+    for seed in range(8):
+        rep = equivalence._skeleton(cat, seed).representatives["ia"]
+        representatives.add(rep)
+        message = "non-invertible component" if rep == "ib" else None
+        with pytest.raises(AssertionError, match=message):
+            skeleton(cat, seed=seed)
+        with pytest.raises(AssertionError, match=message):
+            are_equivalent(cat, cat, seed=seed)
+    assert representatives == {"ia", "ib"}

@@ -14,6 +14,7 @@ from arrowcat import _search
 from arrowcat import fixtures as fx
 from arrowcat._search import find_table_bijection, functor_search
 from arrowcat.core import ObjlessCategory
+from arrowcat.equivalence import are_equivalent, skeleton
 from arrowcat.functors import FunctorMap, validate_functor
 from arrowcat.generators import gen_finset, gen_monoid, gen_random
 from arrowcat.standard import to_objectless
@@ -172,6 +173,53 @@ def test_first_isomorphism_is_pinned(pair):
     found = find_table_bijection(a, b)
     assert _is_isomorphism(a, b, found)
     assert hashlib.sha256(repr(sorted(found.items())).encode()).hexdigest()[:16] == digest
+
+
+def _fresh(cat: ObjlessCategory) -> ObjlessCategory:
+    """The same category rebuilt, with nothing derived from it kept yet."""
+    return ObjlessCategory.build(cat.morphisms, cat.table)
+
+
+@pytest.mark.parametrize("pair", sorted(FIRST_ISOMORPHISM))
+def test_kept_tables_do_not_change_the_first_isomorphism(pair):
+    # The search keeps what it derives from each category on the category;
+    # a second search, and a search on rebuilt copies, must find the same map.
+    a, b, _ = FIRST_ISOMORPHISM[pair]
+    a1, b1 = _fresh(a), _fresh(b)
+    first = list(find_table_bijection(a1, b1).items())
+    assert a1._tables and b1._tables
+    assert list(find_table_bijection(a1, b1).items()) == first
+    assert list(find_table_bijection(_fresh(a), _fresh(b)).items()) == first
+    assert list(find_table_bijection(a, b).items()) == first
+    assert a1 == a and repr(a1) == repr(_fresh(a)) and hash(a1) == hash(a)
+
+
+@pytest.mark.parametrize("pair", [("finset2", "finset2_dup"), ("finset2_dup", "finset2"), ("random3", "random3")])
+@pytest.mark.parametrize("iso_first", [False, True])
+def test_kept_tables_do_not_change_the_functors(pair, iso_first):
+    # Both modes read one set of tables: whichever runs first, each mode's
+    # answers must be those of a search on rebuilt copies, in the same order.
+    pool = {"finset2": to_objectless(gen_finset(2)), "finset2_dup": to_objectless(gen_finset(2, (1,))),
+            "random3": gen_random(3, 8)}
+    a, b = (pool[name] for name in pair)
+    want = {iso: [list(m.items()) for m in functor_search(_fresh(a), _fresh(b), iso=iso)] for iso in (False, True)}
+    assert want[False]
+    for _ in range(2):
+        for iso in (iso_first, not iso_first):
+            assert [list(m.items()) for m in functor_search(a, b, iso=iso)] == want[iso]
+
+
+def test_kept_tables_do_not_change_an_equivalence():
+    # A skeleton first fills the inverse index of both categories; the
+    # equivalence decided afterwards must equal the one on rebuilt copies.
+    left, right = to_objectless(gen_finset(2, (1,))), _relabel(to_objectless(gen_finset(2, (1, 1))), "h", 3)
+    for seed in range(3):
+        skeleton(left, seed=seed), skeleton(right, seed=seed)
+        got, want = are_equivalent(left, right, seed=seed), are_equivalent(_fresh(left), _fresh(right), seed=seed)
+        for part in ("forward", "backward"):
+            assert list(getattr(got, part).mapping.items()) == list(getattr(want, part).mapping.items())
+        for part in ("tau", "sigma"):
+            assert list(getattr(got, part).components.items()) == list(getattr(want, part).components.items())
 
 
 def _abandoned_after_one_yield(a, b):
