@@ -66,44 +66,28 @@ def _entity(kind: str, name: str, report) -> dict:
 
 def _cmd_check(args, out: _Output) -> int:
     doc = _read_document(args.file)
+    functors = doc.functors
+    checks = (  # (kind, names, validator, the errors that skip an entity)
+        ("category", doc.categories, doc.category_report, ()),
+        ("functor", functors, lambda name: validate_functor(doc.functor(name)), (InvalidCategoryError,)),
+        ("nat", doc.nats, lambda name: validate_nat(doc.nat(name)), (InvalidCategoryError, WiringError)),
+    )
     entities = []
-    ok = True
-    for name in sorted(doc.categories):
-        report = doc.category_report(name)
-        entities.append(_entity("category", name, report))
-        ok &= report.ok
-        out.say(f"{'ok' if report.ok else 'INVALID'}: category {name}")
-        for line in ([] if report.ok else report.lines()):
-            out.say(f"  {line}")
-    for name in sorted(doc.functors):
-        decl = doc.functors[name]
-        try:
-            report = validate_functor(doc.functor(name))
-        except InvalidCategoryError:
-            entities.append({"kind": "functor", "name": name, "ok": False,
-                             "violations": [], "skipped": "source or target category invalid"})
-            out.say(f"skipped: functor {name} (source or target category invalid)")
-            ok = False
-            continue
-        entities.append(_entity("functor", name, report))
-        ok &= report.ok
-        out.say(f"{'ok' if report.ok else 'INVALID'}: functor {name}: {decl.source} -> {decl.target}")
-        for line in ([] if report.ok else report.lines()):
-            out.say(f"  {line}")
-    for name in sorted(doc.nats):
-        try:
-            report = validate_nat(doc.nat(name))
-        except (InvalidCategoryError, WiringError) as exc:
-            entities.append({"kind": "nat", "name": name, "ok": False,
-                             "violations": [], "skipped": str(exc)})
-            out.say(f"skipped: nat {name} ({exc})")
-            ok = False
-            continue
-        entities.append(_entity("nat", name, report))
-        ok &= report.ok
-        out.say(f"{'ok' if report.ok else 'INVALID'}: nat {name}")
-        for line in ([] if report.ok else report.lines()):
-            out.say(f"  {line}")
+    for kind, names, validate, skips in checks:
+        for name in sorted(names):
+            try:
+                report = validate(name)
+            except skips as exc:
+                reason = "source or target category invalid" if kind == "functor" else str(exc)
+                entities.append({"kind": kind, "name": name, "ok": False, "violations": [], "skipped": reason})
+                out.say(f"skipped: {kind} {name} ({reason})")
+                continue
+            entities.append(_entity(kind, name, report))
+            typed = f": {functors[name].source} -> {functors[name].target}" if kind == "functor" else ""
+            out.say(f"{'ok' if report.ok else 'INVALID'}: {kind} {name}{typed}")
+            for line in ([] if report.ok else report.lines()):
+                out.say(f"  {line}")
+    ok = all(entity["ok"] for entity in entities)
     out.record["ok"] = ok
     out.record["entities"] = entities
     return OK if ok else FAIL
@@ -282,9 +266,7 @@ def _cmd_adjoint_check(args, out: _Output) -> int:
 
 
 def _cmd_limits(args, out: _Output) -> int:
-    from .limits import (
-        LIMIT_KINDS, _parallel_pairs, binary_product, equalizer, preserves_finite_limits, terminal_objects,
-    )
+    from .limits import LIMIT_KINDS, _diagrams, preserves_finite_limits, terminal_objects
 
     doc = _read_document(args.file)
     if bool(args.cat) == bool(args.functor):
@@ -294,21 +276,18 @@ def _cmd_limits(args, out: _Output) -> int:
         terminals = sorted(terminal_objects(cat))
         out.record["terminals"] = terminals
         out.say(f"terminal objects: {', '.join(terminals) if terminals else '(none)'}")
-        idents = sorted(cat.identities)
-        products = {}
-        for i, a in enumerate(idents):
-            for b in idents[i:]:
-                cone = binary_product(cat, a, b)
-                products[f"{a} x {b}"] = None if cone is None else cone.apex
+        products, equalizer_count, missing = {}, 0, []
+        for kind, diagram, cone in _diagrams(cat, LIMIT_KINDS):
+            if kind == "product":
+                label = " x ".join(diagram)
+                products[label] = None if cone is None else cone.apex
                 found = "(none)" if cone is None else f"apex {cone.apex} legs ({', '.join(cone.legs)})"
-                out.say(f"product {a} x {b}: {found}")
-        out.record["products"] = products
-        equalizer_count, missing = 0, []
-        for f, g in _parallel_pairs(cat):
-            if equalizer(cat, f, g) is None:
-                missing.append((f, g))
+                out.say(f"product {label}: {found}")
+            elif cone is None:
+                missing.append(diagram)
             else:
                 equalizer_count += 1
+        out.record["products"] = products
         out.record["equalizers"] = {"found": equalizer_count, "missing": missing}
         out.say(f"equalizers: {equalizer_count} found, {len(missing)} missing")
         return OK

@@ -52,21 +52,9 @@ def walking_iso() -> ObjlessCategory:
     return gen_walking_iso()
 
 
-def discrete(n: int) -> ObjlessCategory:
-    return gen_discrete(n)
-
-
-def cyclic(n: int) -> ObjlessCategory:
-    return gen_cyclic(n)
-
-
-def finset2_std() -> StdCategory:
-    """Skeletal category of sets of size 0, 1, 2 and all functions."""
-    return gen_finset(2)
-
-
 def finset2() -> ObjlessCategory:
-    return to_objectless(finset2_std())
+    """Skeletal category of sets of size 0, 1, 2 and all functions."""
+    return to_objectless(gen_finset(2))
 
 
 def finset_dup_std() -> StdCategory:
@@ -129,8 +117,8 @@ def fixture_pool() -> dict[str, ObjlessCategory]:
         "z3": gen_cyclic(3),
         "two_chain": two_chain(),
         "walking_iso": walking_iso(),
-        "discrete2": discrete(2),
-        "discrete3": discrete(3),
+        "discrete2": gen_discrete(2),
+        "discrete3": gen_discrete(3),
         "chain3": chain_category(3, "q"),
         "diamond": gen_poset(diamond_poset()),
         "finset2": finset2(),

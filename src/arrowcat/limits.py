@@ -1,9 +1,18 @@
 """Terminal objects, generalized elements, binary products, equalizers,
 and finite-limit preservation by functors.
 
-All universal properties are verified by exhaustive factorization checks over
-every competing cone, which is affordable at the finite sizes this package
-targets.
+A cone ``(apex, legs)`` over a diagram is universal, a limit, iff at every
+stage ``x`` the map ``h -> (leg.h, ...)`` is a bijection from ``hom(x, apex)``
+onto the cones over the diagram at ``x``.  Each ``leg.h`` is itself a cone at
+``x``, so the map lands among them, and a map between finite sets is a
+bijection iff its domain, its image and its codomain have one size.  So one
+check, ``_refuting_stage``, compares three sizes for all three kinds.  A
+terminal object has no legs and one cone at each stage.  A product of
+``(a, b)`` has ``|hom(x, a)|·|hom(x, b)|`` cones at ``x``.  An equalizer of
+``(f, g)`` has one for each ``h`` in ``hom(x, dom f)`` with ``f.h = g.h``,
+once its own leg equalizes the pair.  The image is counted only when more
+than one morphism goes into the apex; with fewer it is as large as
+``hom(x, apex)``.
 """
 from __future__ import annotations
 
@@ -34,10 +43,34 @@ def _stages(cat: ObjlessCategory) -> list[str]:
     return sorted(cat.identities, reverse=True)
 
 
+def _refuting_stage(cat: ObjlessCategory, apex: str, legs: tuple[str, ...], diagram: tuple[str, ...],
+                    stages: list[str]) -> str | None:
+    """A stage that refutes the universality of the cone ``(apex, legs)`` over ``diagram``, or None.
+
+    No legs make a terminal object, two legs a product of identities ``(a, b)``, one leg an equalizer
+    of a parallel pair ``(f, g)``.  A leg that does not equalize the pair is refuted at its apex."""
+    table = cat.table
+    if len(legs) == 1 and table[diagram[0], legs[0]] != table[diagram[1], legs[0]]:
+        return apex
+    for x in stages:
+        into = cat.hom_class(x, apex)
+        if not legs:
+            cones = 1
+        elif len(legs) == 2:
+            into_a = cat.hom_class(x, diagram[0])
+            cones = len(into_a) * len(cat.hom_class(x, diagram[1])) if into_a else 0
+        else:
+            f, g = diagram
+            cones = sum(table[f, h] == table[g, h] for h in cat.hom_class(x, cat.dom[f]))
+        if len(into) != cones or cones > 1 and len({tuple(table[leg, h] for leg in legs) for h in into}) != cones:
+            return x
+    return None
+
+
 def terminal_objects(cat: ObjlessCategory) -> frozenset[str]:
     """Identities receiving exactly one morphism from every identity."""
     stages = _stages(cat)
-    return frozenset(t for t in stages if all(len(cat.hom_class(x, t)) == 1 for x in stages))
+    return frozenset(t for t in stages if _refuting_stage(cat, t, (), (), stages) is None)
 
 
 def generalized_elements(cat: ObjlessCategory, target: str, stage: str) -> frozenset[str]:
@@ -45,45 +78,17 @@ def generalized_elements(cat: ObjlessCategory, target: str, stage: str) -> froze
     return cat.hom_class(stage, target)
 
 
-def _is_product_cone(cat: ObjlessCategory, apex: str, p: str, q: str, a: str, b: str) -> bool:
-    for x in _stages(cat):
-        into_apex = sorted(cat.hom_class(x, apex))
-        for f in cat.hom_class(x, a):
-            for g in cat.hom_class(x, b):
-                hits = [
-                    h for h in into_apex
-                    if cat.table.get((p, h)) == f and cat.table.get((q, h)) == g
-                ]
-                if len(hits) != 1:
-                    return False
-    return True
-
-
 def binary_product(cat: ObjlessCategory, a: str, b: str) -> LimitCone | None:
     """A universal cone over (a, b), or None; deterministic first find."""
     cat._require_identity(a)
     cat._require_identity(b)
+    stages = _stages(cat)
     for apex in sorted(cat.identities):
         for p in sorted(cat.hom_class(apex, a)):
             for q in sorted(cat.hom_class(apex, b)):
-                if _is_product_cone(cat, apex, p, q, a, b):
+                if _refuting_stage(cat, apex, (p, q), (a, b), stages) is None:
                     return LimitCone(kind="product", apex=apex, legs=(p, q), diagram=(a, b))
     return None
-
-
-def _is_equalizer_cone(cat: ObjlessCategory, apex: str, leg: str, f: str, g: str) -> bool:
-    if cat.table.get((f, leg)) != cat.table.get((g, leg)) or cat.table.get((f, leg)) is None:
-        return False
-    src = cat.dom[f]
-    for x in _stages(cat):
-        into_apex = sorted(cat.hom_class(x, apex))
-        for h in cat.hom_class(x, src):
-            if cat.table.get((f, h)) != cat.table.get((g, h)):
-                continue
-            hits = [k for k in into_apex if cat.table.get((leg, k)) == h]
-            if len(hits) != 1:
-                return False
-    return True
 
 
 def equalizer(cat: ObjlessCategory, f: str, g: str) -> LimitCone | None:
@@ -91,9 +96,10 @@ def equalizer(cat: ObjlessCategory, f: str, g: str) -> LimitCone | None:
     if cat.dom_id(f) != cat.dom_id(g) or cat.cod_id(f) != cat.cod_id(g):
         raise ValueError(f"{f} and {g} are not parallel")
     src = cat.dom[f]
+    stages = _stages(cat)
     for apex in sorted(cat.identities):
         for leg in sorted(cat.hom_class(apex, src)):
-            if _is_equalizer_cone(cat, apex, leg, f, g):
+            if _refuting_stage(cat, apex, (leg,), (f, g), stages) is None:
                 return LimitCone(kind="equalizer", apex=apex, legs=(leg,), diagram=(f, g))
     return None
 
@@ -120,16 +126,16 @@ class LimitsReport:
         return [f"failure[{f.kind}] diagram=({', '.join(f.diagram)}): {f.message}" for f in self.failures]
 
 
-def _parallel_pairs(cat: ObjlessCategory):
-    for _, members in sorted(cat.hom_classes().items()):
-        yield from combinations_with_replacement(members, 2)
-
-
-def _terminal_counterexample(cat: ObjlessCategory, candidate: str) -> str | None:
-    for x in sorted(cat.identities):
-        if len(cat.hom_class(x, candidate)) != 1:
-            return x
-    return None
+def _diagrams(cat: ObjlessCategory, scope: tuple[str, ...]):
+    """Each scoped product and equalizer diagram as ``(kind, diagram, cone or None)``, lazily:
+    the pairs of identities in name order, then the parallel pairs by hom class."""
+    if "products" in scope:
+        for a, b in combinations_with_replacement(sorted(cat.identities), 2):
+            yield "product", (a, b), binary_product(cat, a, b)
+    if "equalizers" in scope:
+        for _, members in sorted(cat.hom_classes().items()):
+            for f, g in combinations_with_replacement(members, 2):
+                yield "equalizer", (f, g), equalizer(cat, f, g)
 
 
 def preserves_finite_limits(
@@ -156,35 +162,24 @@ def _preserves_finite_limits(f: FunctorMap, scope: tuple[str, ...]) -> LimitsRep
     src, dst = f.source, f.target
 
     terminals: list[str] = []
-    products: list[LimitCone] = []
-    equalizers: list[LimitCone] = []
     if "terminal" in scope:
         terminals = sorted(terminal_objects(src))
         if not terminals:
             raise InapplicableScopeError(
                 "terminal", (), "source category has no terminal object"
             )
-    if "products" in scope:
-        for a, b in combinations_with_replacement(sorted(src.identities), 2):
-            cone = binary_product(src, a, b)
-            if cone is None:
-                raise InapplicableScopeError(
-                    "product", (a, b), f"source category has no product of ({a}, {b})"
-                )
-            products.append(cone)
-    if "equalizers" in scope:
-        for pair in _parallel_pairs(src):
-            cone = equalizer(src, *pair)
-            if cone is None:
-                raise InapplicableScopeError(
-                    "equalizer", pair, f"source category has no equalizer of ({pair[0]}, {pair[1]})"
-                )
-            equalizers.append(cone)
+    cones = []
+    for kind, diagram, cone in _diagrams(src, scope):
+        if cone is None:
+            raise InapplicableScopeError(
+                kind, diagram, f"source category has no {kind} of ({', '.join(diagram)})"
+            )
+        cones.append(cone)
 
     failures = []
     for t in terminals:
         image = f.mapping[t]
-        witness = _terminal_counterexample(dst, image)
+        witness = _refuting_stage(dst, image, (), (), sorted(dst.identities))
         if witness is not None:
             failures.append(LimitFailure(
                 kind="terminal", diagram=(t,), image_apex=image, counterexample=witness,
@@ -193,26 +188,21 @@ def _preserves_finite_limits(f: FunctorMap, scope: tuple[str, ...]) -> LimitsRep
                     f"hom({witness}, {image}) does not have exactly one morphism"
                 ),
             ))
-    for cone in products:
-        apex, (p, q) = f.mapping[cone.apex], (f.mapping[cone.legs[0]], f.mapping[cone.legs[1]])
-        a, b = (f.mapping[cone.diagram[0]], f.mapping[cone.diagram[1]])
-        if not _is_product_cone(dst, apex, p, q, a, b):
+    image_stages = _stages(dst)
+    for cone in cones:
+        apex, legs = f.mapping[cone.apex], tuple(f.mapping[leg] for leg in cone.legs)
+        diagram = tuple(f.mapping[m] for m in cone.diagram)
+        if _refuting_stage(dst, apex, legs, diagram, image_stages) is not None:
+            noun = "a product" if cone.kind == "product" else "an equalizer"
             failures.append(LimitFailure(
-                kind="product", diagram=cone.diagram, image_apex=apex, counterexample=apex,
-                message=f"image cone at {apex} is not a product of ({a}, {b})",
-            ))
-    for cone in equalizers:
-        apex, leg = f.mapping[cone.apex], f.mapping[cone.legs[0]]
-        fa, fb = f.mapping[cone.diagram[0]], f.mapping[cone.diagram[1]]
-        if not _is_equalizer_cone(dst, apex, leg, fa, fb):
-            failures.append(LimitFailure(
-                kind="equalizer", diagram=cone.diagram, image_apex=apex, counterexample=apex,
-                message=f"image cone at {apex} is not an equalizer of ({fa}, {fb})",
+                kind=cone.kind, diagram=cone.diagram, image_apex=apex, counterexample=apex,
+                message=f"image cone at {apex} is not {noun} of ({', '.join(diagram)})",
             ))
 
+    products = sum(cone.kind == "product" for cone in cones)
     checked = {
         "terminal": len(terminals),
-        "products": len(products),
-        "equalizers": len(equalizers),
+        "products": products,
+        "equalizers": len(cones) - products,
     }
     return LimitsReport(ok=not failures, failures=tuple(failures), checked=checked)

@@ -83,6 +83,88 @@ def brute_iso_related(cat: ObjlessCategory, a: str, b: str) -> bool:
     return False
 
 
+def thick_preorder(levels: list[int]) -> ObjlessCategory:
+    """One arrow x -> y whenever levels[x] <= levels[y]: the objects of a level are isomorphic."""
+    objs = range(len(levels))
+    arrows = [f"t{x}_{y}" for x in objs for y in objs if levels[x] <= levels[y]]
+    table = {(f"t{y}_{z}", f"t{x}_{y}"): f"t{x}_{z}"
+             for x in objs for y in objs for z in objs if levels[x] <= levels[y] <= levels[z]}
+    return ObjlessCategory.build(arrows, table)
+
+
+def brute_homs(cat: ObjlessCategory, x: str, y: str) -> list[str]:
+    """The morphisms x -> y in name order, by scanning every morphism."""
+    return [m for m in sorted(cat.morphisms) if cat.dom[m] == x and cat.cod[m] == y]
+
+
+def brute_cones(cat: ObjlessCategory, kind: str, diagram: tuple[str, ...], x: str) -> list[tuple[str, ...]]:
+    """Every cone at stage x over a diagram, in name order: the empty cone for a
+    terminal object, a pair (f, g) into the identities (a, b) of a product, or
+    (h,) into the domain of an equalizer's pair with f.h = g.h."""
+    if kind == "terminal":
+        return [()]
+    if kind == "product":
+        a, b = diagram
+        return [(f, g) for f in brute_homs(cat, x, a) for g in brute_homs(cat, x, b)]
+    f, g = diagram
+    return [(h,) for h in brute_homs(cat, x, cat.dom[f]) if cat.table[(f, h)] == cat.table[(g, h)]]
+
+
+def brute_is_limit(cat: ObjlessCategory, kind: str, diagram: tuple[str, ...], apex: str,
+                   legs: tuple[str, ...]) -> bool:
+    """The legs are a cone at the apex, and every cone at every stage factors
+    through them by exactly one morphism into the apex."""
+    if legs not in brute_cones(cat, kind, diagram, apex):
+        return False
+    for x in sorted(cat.identities):
+        into = brute_homs(cat, x, apex)
+        for cone in brute_cones(cat, kind, diagram, x):
+            if sum(tuple(cat.table[(leg, h)] for leg in legs) == cone for h in into) != 1:
+                return False
+    return True
+
+
+def brute_limits(cat: ObjlessCategory, kind: str, diagram: tuple[str, ...]) -> list[tuple[str, tuple[str, ...]]]:
+    """Every limit cone (apex, legs) over a diagram, apexes and then legs in name order."""
+    return [(apex, legs) for apex in sorted(cat.identities) for legs in brute_cones(cat, kind, diagram, apex)
+            if brute_is_limit(cat, kind, diagram, apex, legs)]
+
+
+def brute_preserves(f: FunctorMap, scope: tuple[str, ...]):
+    """What limit preservation answers, by brute cone checks: ``(kind, diagram)``
+    of the first missing source limit, or the failures as ``(kind, diagram,
+    counterexample)`` and the counts checked."""
+    src, dst, image = f.source, f.target, f.mapping
+    idents = sorted(src.identities)
+    terminals = [t for t, _ in brute_limits(src, "terminal", ())] if "terminal" in scope else []
+    if "terminal" in scope and not terminals:
+        return "terminal", ()
+    diagrams = []
+    if "products" in scope:
+        diagrams += [("product", (a, b)) for i, a in enumerate(idents) for b in idents[i:]]
+    if "equalizers" in scope:
+        diagrams += [("equalizer", (p, q)) for x in idents for y in idents
+                     for i, p in enumerate(brute_homs(src, x, y)) for q in brute_homs(src, x, y)[i:]]
+    cones = []
+    for kind, diagram in diagrams:
+        found = brute_limits(src, kind, diagram)
+        if not found:
+            return kind, diagram
+        cones.append((kind, diagram, *found[0]))
+    failures = []
+    for t in terminals:
+        stages = [x for x in sorted(dst.identities) if len(brute_homs(dst, x, image[t])) != 1]
+        if stages:
+            failures.append(("terminal", (t,), stages[0]))
+    for kind, diagram, apex, legs in cones:
+        mapped = tuple(image[m] for m in diagram)
+        if not brute_is_limit(dst, kind, mapped, image[apex], tuple(image[leg] for leg in legs)):
+            failures.append((kind, diagram, image[apex]))
+    checked = {"terminal": len(terminals), "products": sum(c[0] == "product" for c in cones),
+               "equalizers": sum(c[0] == "equalizer" for c in cones)}
+    return failures, checked
+
+
 def brute_functors(src: ObjlessCategory, dst: ObjlessCategory) -> list[dict[str, str]]:
     """Every functor src -> dst: each morphism map at all, kept when it validates."""
     names = sorted(src.morphisms)

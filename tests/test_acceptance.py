@@ -26,7 +26,7 @@ from arrowcat.equivalence import (
     validate_nat,
 )
 from arrowcat.functors import FunctorMap, functor_identity, validate_functor
-from arrowcat.generators import gen_random
+from arrowcat.generators import gen_finset, gen_random
 from arrowcat.limits import preserves_finite_limits
 from arrowcat.standard import to_objectless, to_standard
 
@@ -80,7 +80,7 @@ def test_criterion_02_round_trips(random_pool, pool):
     canonical renaming object -> identity arrow."""
     for cat in list(pool.values()) + random_pool:
         assert to_objectless(to_standard(cat)) == cat
-    for std in (fx.two_chain_std(), fx.finset2_std(), fx.finset_dup_std()):
+    for std in (fx.two_chain_std(), gen_finset(2), fx.finset_dup_std()):
         back = to_standard(to_objectless(std))
         renaming = dict(std.id_of)  # object B -> id_of(B)
         assert back.objects == frozenset(renaming.values())

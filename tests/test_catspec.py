@@ -143,7 +143,7 @@ def test_fixture_files_parse_and_roundtrip(fixture):
 def test_roundtrip_programmatic_document():
     doc = CatspecDocument()
     doc.categories["Z2"] = objless_decl("Z2", fx.z2())
-    doc.categories["F2"] = standard_decl("F2", fx.finset2_std())
+    doc.categories["F2"] = standard_decl("F2", gen_finset(2))
     doc.functors["IdZ2"] = functor_decl("IdZ2", "Z2", "Z2", functor_identity(fx.z2()))
     assert parse(serialize(doc)) == doc
 

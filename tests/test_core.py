@@ -159,7 +159,7 @@ DIFFERENTIAL_BASES = {
     "one": fx.one,
     "finset2": fx.finset2,
     "chain4": lambda: fx.chain_category(4, "c"),
-    "cyclic5": lambda: fx.cyclic(5),
+    "cyclic5": lambda: gen_cyclic(5),
 }
 
 

@@ -30,7 +30,7 @@ from arrowcat.generators import (
 )
 from arrowcat.standard import equal_up_to_renaming, to_objectless, to_standard
 
-from conftest import brute_inverses, brute_iso_related
+from conftest import brute_inverses, brute_iso_related, thick_preorder
 
 random_categories = st.integers(min_value=0, max_value=10_000).map(
     lambda seed: gen_random(seed, 16)
@@ -88,7 +88,7 @@ def test_iso_classes_finset_dup():
 
 
 def test_iso_classes_discrete_and_walking_iso():
-    assert len(iso_classes(fx.discrete(3))) == 3
+    assert len(iso_classes(gen_discrete(3))) == 3
     assert len(iso_classes(fx.walking_iso())) == 1
 
 
@@ -117,20 +117,11 @@ def _check_iso_classes(cat):
                         assert not brute_iso_related(cat, a, b)
 
 
-def _thick_preorder(levels: list[int]) -> ObjlessCategory:
-    """One arrow x -> y whenever levels[x] <= levels[y]: the objects of a level are isomorphic."""
-    objs = range(len(levels))
-    arrows = [f"t{x}_{y}" for x in objs for y in objs if levels[x] <= levels[y]]
-    table = {(f"t{y}_{z}", f"t{x}_{y}"): f"t{x}_{z}"
-             for x in objs for y in objs for z in objs if levels[x] <= levels[y] <= levels[z]}
-    return ObjlessCategory.build(arrows, table)
-
-
 # 256 morphisms or more, past the byte codes of the kernel: 324 thin arrows on
 # 8 classes of 3, and 264 thin arrows on 11 classes of 2 with a random non-thin
 # part beside them.
-LARGE = [_thick_preorder([i // 3 for i in range(24)]),
-         disjoint_union(_thick_preorder([i // 2 for i in range(22)]), gen_random(5, 24))]
+LARGE = [thick_preorder([i // 3 for i in range(24)]),
+         disjoint_union(thick_preorder([i // 2 for i in range(22)]), gen_random(5, 24))]
 
 
 @pytest.mark.parametrize("cat", LARGE, ids=["thick-324", "thick-and-random"])
@@ -190,7 +181,7 @@ def test_find_category_isomorphism_relabelling():
 
 def test_find_category_isomorphism_distinguishes():
     assert find_category_isomorphism(fx.walking_iso(), fx.one()) is None
-    assert find_category_isomorphism(fx.two_chain(), fx.discrete(2)) is None
+    assert find_category_isomorphism(fx.two_chain(), gen_discrete(2)) is None
 
 
 def test_find_category_isomorphism_capacity():
@@ -266,7 +257,7 @@ def test_non_invertible_component_is_not_natural_isomorphism():
 def test_is_skeletal():
     assert is_skeletal(fx.finset2())
     assert not is_skeletal(fx.finset_dup())
-    assert is_skeletal(fx.discrete(3))
+    assert is_skeletal(gen_discrete(3))
 
 
 def test_skeleton_finset_dup_counts():
@@ -363,7 +354,7 @@ def test_are_equivalent_walking_iso_and_one():
 
 
 def test_are_equivalent_rejects_two_chain_vs_discrete():
-    assert are_equivalent(fx.two_chain(), fx.discrete(2)) is None
+    assert are_equivalent(fx.two_chain(), gen_discrete(2)) is None
 
 
 def test_are_equivalent_reflexive():
@@ -381,7 +372,7 @@ def test_iso_implies_equivalent():
 def test_brute_force_agrees_on_examples():
     cases = [
         (fx.walking_iso(), fx.one(), True),
-        (fx.two_chain(), fx.discrete(2), False),
+        (fx.two_chain(), gen_discrete(2), False),
         (fx.two_chain(), fx.two_chain(), True),
     ]
     for left, right, expected in cases:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from arrowcat import fixtures as fx
+from arrowcat.generators import gen_cyclic
 from arrowcat.functors import (
     CONTRAVARIANT,
     FunctorMap,
@@ -60,7 +61,7 @@ def test_unknown_target_name_reported():
 def test_broken_composition_law_reported():
     # Swap where s should go: send the flip s to e and keep identities; fine,
     # but send z3's generator to z2's flip so squares break.
-    z3, z2 = fx.cyclic(3), fx.z2()
+    z3, z2 = gen_cyclic(3), fx.z2()
     bad = FunctorMap(source=z3, target=z2, mapping={"g0": "e", "g1": "s", "g2": "s"})
     report = validate_functor(bad)
     assert not report.ok

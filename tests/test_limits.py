@@ -12,7 +12,7 @@ from arrowcat import fixtures as fx
 from arrowcat.equivalence import is_isomorphism
 from arrowcat.errors import InapplicableScopeError, NotAnIdentityError
 from arrowcat.functors import FunctorMap, functor_compose, functor_identity
-from arrowcat.generators import gen_poset
+from arrowcat.generators import gen_discrete, gen_finset, gen_poset, gen_random
 from arrowcat.limits import (
     binary_product,
     equalizer,
@@ -20,12 +20,15 @@ from arrowcat.limits import (
     preserves_finite_limits,
     terminal_objects,
 )
+from arrowcat.standard import to_objectless
+
+from conftest import brute_limits, brute_preserves, thick_preorder
 
 
 def test_terminal_objects():
     assert terminal_objects(fx.two_chain()) == {"i1"}
     assert terminal_objects(fx.finset2()) == {"id_n1"}
-    assert terminal_objects(fx.discrete(2)) == frozenset()
+    assert terminal_objects(gen_discrete(2)) == frozenset()
 
 
 def test_generalized_elements():
@@ -73,7 +76,7 @@ def test_product_commutative_up_to_iso():
 
 def test_missing_product():
     assert binary_product(fx.finset2(), "id_n2", "id_n2") is None
-    assert binary_product(fx.discrete(2), "x0", "x1") is None
+    assert binary_product(gen_discrete(2), "x0", "x1") is None
 
 
 def test_equalizer_of_distinct_points_is_empty_object():
@@ -106,7 +109,16 @@ def test_finset2_products_scope_is_inapplicable():
     # No 2 x 2 product exists inside the size-capped category.
     with pytest.raises(InapplicableScopeError) as exc:
         preserves_finite_limits(functor_identity(fx.finset2()), ("products",))
-    assert exc.value.kind == "product"
+    assert (exc.value.kind, exc.value.diagram, str(exc.value)) == (
+        "product", ("id_n2", "id_n2"), "source category has no product of (id_n2, id_n2)")
+
+
+def test_z2_equalizers_scope_is_inapplicable():
+    # No arrow of the group equalizes e and s.
+    with pytest.raises(InapplicableScopeError) as exc:
+        preserves_finite_limits(functor_identity(fx.z2()), ("equalizers",))
+    assert (exc.value.kind, exc.value.diagram, str(exc.value)) == (
+        "equalizer", ("e", "s"), "source category has no equalizer of (e, s)")
 
 
 def test_constant_functor_fails_terminal_preservation():
@@ -153,6 +165,73 @@ def test_terminals_unique_up_to_unique_iso():
                 assert len(isos) == 1
 
 
+# Every category the differential tests run on: the named fixtures, seeded
+# random categories, finite sets with both sizes doubled, and a thick preorder.
+DIFFERENTIAL = {
+    **fx.fixture_pool(),
+    **{f"random{seed}": gen_random(seed, 16) for seed in range(30)},
+    "finset2_dup12": to_objectless(gen_finset(2, dup=(1, 2))),
+    "thick": thick_preorder([0, 0, 1, 1, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_limits_match_the_brute_cone_oracle(name):
+    cat = DIFFERENTIAL[name]
+    assert terminal_objects(cat) == {t for t, _ in brute_limits(cat, "terminal", ())}
+    idents = sorted(cat.identities)
+    for a in idents:
+        for b in idents:
+            cone = binary_product(cat, a, b)
+            found = brute_limits(cat, "product", (a, b))
+            assert (None if cone is None else (cone.apex, cone.legs)) == (found[0] if found else None)
+    for members in cat.hom_classes().values():
+        for f in members:
+            for g in members:
+                cone = equalizer(cat, f, g)
+                found = brute_limits(cat, "equalizer", (f, g))
+                assert (None if cone is None else (cone.apex, cone.legs)) == (found[0] if found else None)
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_preservation_matches_the_brute_cone_oracle(name):
+    cat = DIFFERENTIAL[name]
+    functors = [functor_identity(cat)] + [
+        FunctorMap(source=cat, target=cat, mapping={m: ident for m in cat.morphisms}, name=f"const_{ident}")
+        for ident in sorted(cat.identities)[:2]
+    ]
+    for f in functors:
+        for scope in (("terminal",), ("products",), ("equalizers",), ("terminal", "products", "equalizers")):
+            try:
+                report = preserves_finite_limits(f, scope)
+            except InapplicableScopeError as exc:
+                assert brute_preserves(f, scope) == (exc.kind, exc.diagram)
+                continue
+            failures = [(fl.kind, fl.diagram, fl.counterexample) for fl in report.failures]
+            assert brute_preserves(f, scope) == (failures, dict(report.checked))
+            assert report.ok == (not failures)
+
+
+def test_image_cone_failure_texts():
+    # one -> z2 picks the identity e: the image of star x star has two arrows
+    # into its apex against four cones, so it is not a product.
+    pick_e = FunctorMap(source=fx.one(), target=fx.z2(), mapping={"star": "e"}, name="pick_e")
+    assert preserves_finite_limits(pick_e, ("products",)).lines() == [
+        "failure[product] diagram=(star, star): image cone at e is not a product of (e, e)",
+    ]
+    # finset2 -> two_chain sends a set to whether it is inhabited.  Two maps
+    # that differ only as functions collapse, and the empty set's leg into
+    # them is not invertible, so it no longer equalizes them universally.
+    f2, tc = fx.finset2(), fx.two_chain()
+    level = {"id_n0": "i0", "id_n1": "i1", "id_n2": "i1"}
+    mapping = {m: level[f2.dom[m]] if level[f2.dom[m]] == level[f2.cod[m]] else "a" for m in f2.morphisms}
+    inhabited = FunctorMap(source=f2, target=tc, mapping=mapping, name="inhabited")
+    assert preserves_finite_limits(inhabited, ("equalizers",)).lines() == [
+        f"failure[equalizer] diagram=({f}, {g}): image cone at i0 is not an equalizer of (i1, i1)"
+        for f, g in (("n1_n2_0", "n1_n2_1"), ("id_n2", "n2_n2_10"), ("n2_n2_00", "n2_n2_11"))
+    ]
+
+
 # hom_class calls over terminal_objects, every binary product and every
 # equalizer of the lattice of subsets of 4 bits, its elements named in a
 # fixed shuffled order.
@@ -195,4 +274,4 @@ def test_limit_searches_do_the_same_work_under_every_hash_seed():
         done = subprocess.run([sys.executable, "-c", _COUNT_LOOKUPS], env=env, capture_output=True, text=True,
                               timeout=120, check=True)
         counts.append(int(done.stdout))
-    assert counts[0] == counts[1] > 0
+    assert 0 < counts[0] == counts[1] <= 11_872

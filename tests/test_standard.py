@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from arrowcat import fixtures as fx, standard
 from arrowcat.core import MAX_MORPHISMS, validate_objectless
 from arrowcat.errors import CapacityError, InvalidCategoryError
-from arrowcat.generators import gen_random
+from arrowcat.generators import gen_discrete, gen_finset, gen_random
 from arrowcat.standard import (
     StdCategory,
     _presentation_holds,
@@ -75,8 +75,7 @@ def _single_entry_edits(std: StdCategory):
 
 def test_single_entry_edits_match_the_oracle():
     rejected_by_kernel = 0
-    for make_std in (fx.two_chain_std, fx.finset2_std, fx.finset_dup_std):
-        valid = make_std()
+    for valid in (fx.two_chain_std(), gen_finset(2), fx.finset_dup_std()):
         for std in (valid, *_single_entry_edits(valid)):
             report = validate_standard(std)
             assert report.ok == brute_standard_ok(std)
@@ -124,8 +123,7 @@ def _presentation_edits(std: StdCategory):
 
 def test_the_one_pass_presentation_check_holds_exactly_when_the_walk_finds_nothing(monkeypatch):
     corpus = []
-    for make_std in (fx.two_chain_std, fx.finset2_std, fx.finset_dup_std):
-        valid = make_std()
+    for valid in (fx.two_chain_std(), gen_finset(2), fx.finset_dup_std()):
         corpus += [valid, *_single_entry_edits(valid), *_presentation_edits(valid)]
     holds = [_presentation_holds(std) for std in corpus]
     monkeypatch.setattr(standard, "_presentation_holds", lambda cat: False)
@@ -197,7 +195,8 @@ def test_round_trip_objectless_random(cat):
     assert to_objectless(to_standard(cat)) == cat
 
 
-@pytest.mark.parametrize("make_std", [fx.two_chain_std, fx.finset2_std, fx.finset_dup_std])
+@pytest.mark.parametrize("make_std", [fx.two_chain_std, lambda: gen_finset(2), fx.finset_dup_std],
+                         ids=["two_chain_std", "finset2_std", "finset_dup_std"])
 def test_round_trip_standard_up_to_canonical_renaming(make_std):
     std = make_std()
     back = to_standard(to_objectless(std))
@@ -240,7 +239,7 @@ def test_equal_up_to_renaming_relabelled():
 
 def test_equal_up_to_renaming_rejects_different_shapes():
     std = fx.two_chain_std()
-    discrete = to_standard(fx.discrete(2))
+    discrete = to_standard(gen_discrete(2))
     assert equal_up_to_renaming(std, discrete) is None
 
 
