@@ -21,13 +21,19 @@ C-level ``bytes.translate`` per entry.  Each entry ``m.a`` also needs equal 0/1
 columns, ``g.(m.a)`` defined exactly when ``g.m`` is; the row key sets then
 agree as well and need no check.  Codes of 256 or more morphisms do not fit a
 byte, so larger tables keep the column pass of C-level ``itemgetter`` lookups.
+
+A category of up to 255 morphisms keeps that layout in ``_layout``: the name
+order, the code map and the rows cut to n bytes.  ``build`` keeps validation's;
+``full_subcategory`` restricts its parent's rows, recoded and cut by translates,
+and reads its table off them (or lays out a filtered table, under a larger parent);
+``opposite`` takes the transposed rows.  Nothing builds a 256-byte row to keep.
 """
 from __future__ import annotations
 
 import re
 from collections import deque
 from dataclasses import InitVar, dataclass, field
-from itertools import chain, compress, repeat
+from itertools import chain, compress, product, repeat
 from operator import add, itemgetter, mul, ne
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sized
@@ -154,6 +160,7 @@ def _undeclared(names: frozenset[str], entries: Iterable[tuple[str, str, str]]) 
 
 _UNDEFINED = 255  # the byte code of an undefined composite; morphisms take the codes below it
 _DEFINED = b"\x01" * _UNDEFINED + b"\x00"  # translates a code to 1 and 255 to 0
+_DROPPED, _RESTORED = bytes(255) + b"\xff", bytes(range(254)) + b"\xff\xff"  # 255 kept; 254 to 255
 
 
 class _Table(dict):
@@ -162,8 +169,9 @@ class _Table(dict):
     ``conflicts`` holds a ``(make, *args)`` witness per conflicting duplicate, as
     ``ValidationReport.from_witnesses`` takes them.  Up to 255 morphisms ``codes`` holds
     the after, before and result codes of the entries, ``dense[i]`` is row ``i``, 256 bytes
-    with the code of ``i.j`` at ``j`` and 255 where undefined, and ``masks`` holds the rows
-    and the columns of the table with 1 where defined and 0 elsewhere.
+    with the code of ``i.j`` at ``j`` and 255 where undefined, ``rows[i]`` the same row cut
+    to n bytes, and ``masks`` holds the rows and the columns of the table with 1 where
+    defined and 0 elsewhere.
     """
 
     def __init__(self, morphisms: Iterable[str], table: TableLike):
@@ -194,6 +202,7 @@ class _Table(dict):
         deque(map(flat.__setitem__, map(add, map(mul, codes[0], repeat(256)), codes[1]), codes[2]), 0)
         flat = bytes(flat)
         self.dense = [flat[i:i + 256] for i in range(0, len(flat), 256)]
+        self.rows = [flat[i:i + n] for i in range(0, len(flat), 256)]
         defined = flat.translate(_DEFINED)
         self.masks = [defined[i:i + n] for i in range(0, len(flat), 256)], [defined[j::256] for j in range(n)]
 
@@ -223,9 +232,8 @@ def _failing(t: _Table) -> set[str]:
     """The morphisms some entry of which fails the fast pass (see the module docstring)."""
     if t.dense is not None:
         (afters, befores, results), columns = t.codes, t.masks[1]
-        rows = [row[:len(t.order)] for row in t.dense]
-        failing = set(compress(befores, map(ne, map(rows.__getitem__, results), map(
-            bytes.translate, map(rows.__getitem__, befores), map(t.dense.__getitem__, afters)))))
+        failing = set(compress(befores, map(ne, map(t.rows.__getitem__, results), map(
+            bytes.translate, map(t.rows.__getitem__, befores), map(t.dense.__getitem__, afters)))))
         failing.update(compress(afters, map(ne, map(columns.__getitem__, results), map(columns.__getitem__, afters))))
         return set(map(t.order.__getitem__, failing))
     rows, cols = t.index()
@@ -340,6 +348,8 @@ class ObjlessCategory:
     _hash: int | None = field(default=None, compare=False, repr=False)
     _inverses: dict[str, str] | None = field(default=None, compare=False, repr=False)
     _tables: dict | None = field(default=None, compare=False, repr=False)  # kept by _search.functor_search
+    # (order, code, rows) up to 255 morphisms, set by the constructors (see the module docstring).
+    _layout: tuple[list[str], dict[str, int], list[bytes]] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self, _seal: object) -> None:
         if _seal is not _SEAL:
@@ -359,13 +369,9 @@ class ObjlessCategory:
             right, left = t.partners(i)
             dom.update(dict.fromkeys(left, i))
             cod.update(dict.fromkeys(right, i))
-        return cls(
-            morphisms=t.names,
-            table=MappingProxyType(dict(t)),
-            identities=identities,
-            dom=MappingProxyType(dom),
-            cod=MappingProxyType(cod), _seal=_SEAL,
-        )
+        return cls(morphisms=t.names, table=MappingProxyType(dict(t)), identities=identities,
+                   dom=MappingProxyType(dom), cod=MappingProxyType(cod), _seal=_SEAL,
+                   _layout=None if t.dense is None else (t.order, t.code, t.rows))
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -455,30 +461,42 @@ class ObjlessCategory:
         return self.composition_profile(ident1) != self.composition_profile(ident2)
 
     def full_subcategory(self, identities: Iterable[str]) -> "ObjlessCategory":
-        """The full subcategory on some identities; valid as a restriction of valid data."""
+        """The full subcategory on some identities; valid as a restriction of valid data, its byte
+        rows restricted from these (see the module docstring) and its table read off them."""
         keep = frozenset(identities)
-        for ident in keep:
+        for ident in sorted(keep):  # in name order, so that an error names the least bad name
             self._require_identity(ident)
         if keep == self.identities:
             return self  # categories are values, so the whole category is its own copy
-        arrows = frozenset(m for m in self.morphisms if self.dom[m] in keep and self.cod[m] in keep)
-        whole, columns = self.rows, self._cols  # this category's rows, and its columns if built
-        rows = {g: {b: gb for b, gb in whole[g].items() if b in arrows} for g in arrows}
-        cols = None if columns is None else {b: {g: gb for g, gb in columns[b].items() if g in arrows} for b in arrows}
-        table = {(g, b): gb for g, row in rows.items() for b, gb in row.items()}
-        return ObjlessCategory(
-            morphisms=arrows, table=MappingProxyType(table), identities=keep,
-            dom=MappingProxyType({m: self.dom[m] for m in arrows}),
-            cod=MappingProxyType({m: self.cod[m] for m in arrows}), _seal=_SEAL, _rows=rows, _cols=cols,
-        )
+        dom, cod = self.dom, self.cod
+        arrows = frozenset(m for m in self.morphisms if dom[m] in keep and cod[m] in keep)
+        if self._layout is None:
+            t = _Table(arrows, dict(compress(self.table.items(), map(arrows.issuperset, self.table))))
+            table, layout = dict(t), None if t.dense is None else (t.order, t.code, t.rows)
+        else:
+            whole, code, rows = self._layout
+            kept, recode = sorted(map(code.__getitem__, arrows)), bytearray(b"\xff") * 255 + b"\xfe"
+            deque(map(recode.__setitem__, kept, range(len(kept))), 0)  # old code to new; 255 to 254 for now
+            # In the kept rows, recoded, every dropped column is set to 255 with one integer OR; then one
+            # translate deletes the 255s and turns each 254 back into 255.
+            joined = b"".join(map(rows.__getitem__, kept)).translate(recode)
+            dropped = bytes(range(len(whole))).translate(recode).translate(_DROPPED) * len(kept)
+            flat = (int.from_bytes(joined, "big") | int.from_bytes(dropped, "big")).to_bytes(len(joined), "big")
+            order, n, flat = list(map(whole.__getitem__, kept)), len(kept), flat.translate(_RESTORED, b"\xff")
+            layout = order, dict(zip(order, range(n))), [flat[i * n:i * n + n] for i in range(n)]
+            table = dict(zip(compress(product(order, repeat=2), flat.translate(_DEFINED)),
+                             map(order.__getitem__, flat.translate(None, b"\xff"))))
+        return ObjlessCategory(morphisms=arrows, table=MappingProxyType(table), identities=keep,
+                               dom=MappingProxyType(dict(zip(arrows, map(dom.__getitem__, arrows)))),
+                               cod=MappingProxyType(dict(zip(arrows, map(cod.__getitem__, arrows)))),
+                               _seal=_SEAL, _layout=layout)
 
     def opposite(self) -> "ObjlessCategory":
         """Reverse all compositions; domains and codomains swap."""
-        t = {(b, a): r for (a, b), r in self.table.items()}
-        return ObjlessCategory(
-            morphisms=self.morphisms,
-            table=MappingProxyType(t),
-            identities=self.identities,
-            dom=self.cod,
-            cod=self.dom, _seal=_SEAL, _rows=self._cols, _cols=self._rows, _inverses=self._inverses,
-        )
+        t, layout = {(b, a): r for (a, b), r in self.table.items()}, self._layout
+        if layout is not None:  # the transposed rows: column j of the flat rows
+            flat, n = b"".join(layout[2]), len(layout[0])
+            layout = layout[0], layout[1], [flat[j::n] for j in range(n)]
+        return ObjlessCategory(morphisms=self.morphisms, table=MappingProxyType(t), identities=self.identities,
+                               dom=self.cod, cod=self.dom, _seal=_SEAL, _rows=self._cols, _cols=self._rows,
+                               _inverses=self._inverses, _layout=layout)

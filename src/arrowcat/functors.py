@@ -4,24 +4,31 @@ A functor is a single total map between morphism sets; its action on objects
 is just its action on identities, and an identity functor stands in for its
 category.  ``validate_functor`` checks each law once over all its entries:
 totality, stray keys and unknown names as set differences, the identity law as
-a filter, and the composition law row by row, one list comparison per morphism
-``g`` of ``F(g).F(b)``, read from the target's rows (factors swapped if
-contravariant), against ``F(g.b)``.  The entries that fail are counted, and
-only the first ``MAX_VIOLATIONS`` of them, each under its key in the covariant
-view (out of the opposite category if contravariant), are picked and
-formatted.  A natural transformation has one component per identity of its
-functors' shared source, and ``validate_nat`` checks all its naturality
-squares in one pass.  Nothing here searches: the decisions built on these
-arrows live in ``equivalence``, ``limits`` and ``adjunction``.
+a filter, and the composition law in the covariant view (out of the opposite
+category if contravariant).  Between categories that keep byte rows (``core``)
+that law is first decided in C-level passes: with F as a translate table on
+codes, 255 kept, the source rows translated by F must equal, joined over all
+rows, F's codes masked by the row of the identity ``dom g`` (``b`` where
+``g.b`` is defined, 255 elsewhere) and translated by the target's row of
+``F(g)``, padded to 256, so both sides read 255 just where ``g.b`` is
+undefined.  A map that fails the pass, or a category of 256 morphisms or more,
+is walked row by row, one list comparison per morphism ``g`` of ``F(g).F(b)``
+against ``F(g.b)``.  The entries that fail are counted, and only the first
+``MAX_VIOLATIONS`` of them, by key, are picked and formatted.  A natural
+transformation has one component per identity of its functors' shared source,
+and ``validate_nat`` checks all its naturality squares in one pass, as code
+vectors gathered from the target's byte rows where it keeps them.  Nothing
+here searches: the decisions built on these arrows live in ``equivalence``,
+``limits`` and ``adjunction``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import nsmallest
 from itertools import compress, repeat
-from operator import ne
+from operator import getitem, ne
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .core import ObjlessCategory
 from .errors import WiringError
@@ -75,13 +82,23 @@ class FunctorMap:
         """The same assignment as a covariant functor (out of the opposite if needed)."""
         if not self.contravariant:
             return self
-        return FunctorMap(
-            source=self.source.opposite(),
-            target=self.target,
-            mapping=self.mapping,
-            variance=COVARIANT,
-            name=self.name,
-        )
+        return FunctorMap(source=self.source.opposite(), target=self.target, mapping=self.mapping,
+                          variance=COVARIANT, name=self.name)
+
+
+_PAD = b"\xff" * 256  # 255, the code of an undefined composite, at every code
+
+
+def _composition_holds(src: ObjlessCategory, dst: ObjlessCategory, image: Callable[[str], str]) -> bool:
+    """On byte rows, whether ``F(g.b) == F(g).F(b)`` wherever ``g.b`` is defined (see the module docstring)."""
+    if src._layout is None or dst._layout is None:
+        return False
+    (order, code, rows), (_, image_code, targets) = src._layout, dst._layout
+    table = bytes(map(image_code.__getitem__, map(image, order))) + _PAD[len(order):]  # F on codes; 255 kept
+    composable = {i: rows[code[i]].translate(table) for i in src.identities}  # F(b) where cod b = i, else 255
+    got = map(bytes.translate, map(composable.__getitem__, map(src.dom.__getitem__, order)),
+              map(bytes.__add__, map(targets.__getitem__, table[:len(order)]), repeat(_PAD[len(targets):])))
+    return b"".join(got) == b"".join(rows).translate(table)
 
 
 def validate_functor(f: FunctorMap) -> ValidationReport:
@@ -105,23 +122,20 @@ def validate_functor(f: FunctorMap) -> ValidationReport:
          "identity {} maps to non-identity {}", ident, image(ident))
         for ident in sorted(i for i in src.identities if image(i) not in dst.identities)
     ]
-    # The composition law row by row, as two aligned lists: the composite of
-    # the images (None where undefined), and the image of each composite.  A
-    # contravariant functor composes the images in the other order.
-    swap, drows, failed = f.contravariant, dst.rows, []
-    for g, row in src.rows.items():
-        fg, fbs = image(g), map(image, row)
-        got = list(map(dict.get, map(drows.__getitem__, fbs), repeat(fg)) if swap else map(drows[fg].get, fbs))
+    # The composition law in the covariant view, out of the opposite if contravariant: by
+    # the byte pass, or row by row as two aligned lists, the composite of the images (None
+    # where undefined) and the image of each composite.  Only the first failing entries by
+    # key are composed again and formatted.
+    src, failed = f.covariant_view().source, []
+    for g, row in () if _composition_holds(src, dst, image) else src.rows.items():
+        got = list(map(dst.rows[image(g)].get, map(image, row)))
         want = list(map(image, row.values()))
         if got != want:
-            failed += [(b, g) if swap else (g, b) for b in compress(row, map(ne, got, want))]
+            failed += [(g, b) for b in compress(row, map(ne, got, want))]
     total = len(found) + len(failed)
-    # Pick the failing entries by their key in the covariant view, where a
-    # contravariant functor's factors are swapped; only the picked ones are
-    # composed again and formatted.
     for after, before in nsmallest(MAX_VIOLATIONS, failed):
         composite = dst.table.get((image(after), image(before)))
-        result = src.table[(before, after) if swap else (after, before)]
+        result = src.table[(after, before)]
         found.append(
             (format_violation, COMPOSITION_LAW, (after, before),
              "{}.{} is defined but its image composition is not", after, before) if composite is None else
@@ -138,13 +152,7 @@ def require_functor(f: FunctorMap) -> None:
 
 
 def functor_identity(cat: ObjlessCategory, name: str = "id") -> FunctorMap:
-    return FunctorMap(
-        source=cat,
-        target=cat,
-        mapping={m: m for m in cat.morphisms},
-        variance=COVARIANT,
-        name=name,
-    )
+    return FunctorMap(source=cat, target=cat, mapping={m: m for m in cat.morphisms}, variance=COVARIANT, name=name)
 
 
 def functor_compose(outer: FunctorMap, inner: FunctorMap) -> FunctorMap | None:
@@ -152,13 +160,8 @@ def functor_compose(outer: FunctorMap, inner: FunctorMap) -> FunctorMap | None:
     if inner.target != outer.source:
         return None
     variance = COVARIANT if inner.variance == outer.variance else CONTRAVARIANT
-    return FunctorMap(
-        source=inner.source,
-        target=outer.target,
-        mapping={m: outer.mapping[v] for m, v in inner.mapping.items()},
-        variance=variance,
-        name=f"{outer.name}.{inner.name}",
-    )
+    return FunctorMap(source=inner.source, target=outer.target, variance=variance, name=f"{outer.name}.{inner.name}",
+                      mapping={m: outer.mapping[v] for m, v in inner.mapping.items()})
 
 
 def functor_dom(f: FunctorMap) -> FunctorMap:
@@ -189,6 +192,22 @@ class NatTransf:
 
 # The right side of an undefined naturality square, unequal to the left's None.
 _UNDEFINED = object()
+
+
+def _squares_commute(nat: NatTransf) -> bool:
+    """On the target's byte rows, whether every square is defined and commutes; False without them."""
+    src, dst, arrows = nat.source.source, nat.source.target, nat.source.source.morphisms
+    if dst._layout is None:
+        return False
+    _, code, rows = dst._layout
+    try:  # a name unknown to the target fails the pass
+        at, tau = code.__getitem__, {i: code[c] for i, c in nat.components.items()}.__getitem__
+        f, g = (bytes(map(at, map(h.mapping.copy().__getitem__, arrows))) for h in (nat.source, nat.target))
+    except KeyError:
+        return False
+    lefts = bytes(map(getitem, map(rows.__getitem__, map(tau, map(src.cod.__getitem__, arrows))), f))
+    rights = bytes(map(getitem, map(rows.__getitem__, g), map(tau, map(src.dom.__getitem__, arrows))))
+    return lefts == rights and 255 not in lefts  # 255: an undefined composite
 
 
 def validate_nat(nat: NatTransf) -> ValidationReport:
@@ -232,6 +251,8 @@ def validate_nat(nat: NatTransf) -> ValidationReport:
     if mistyped:
         return ValidationReport.from_witnesses(mistyped)
 
+    if _squares_commute(nat):  # only a transformation that fails the byte pass is walked
+        return ValidationReport.from_witnesses([])
     # Both sides of every square, tau_cod.F(m) and G(m).tau_dom; an undefined
     # side reads None on the left and _UNDEFINED on the right, so a square
     # commutes exactly when its two entries are equal.
@@ -251,9 +272,4 @@ def validate_nat(nat: NatTransf) -> ValidationReport:
 
 def identity_nat(f: FunctorMap, name: str = "id_t") -> NatTransf:
     """The identity transformation on a functor."""
-    return NatTransf(
-        source=f,
-        target=f,
-        components={i: f.mapping[i] for i in f.source.identities},
-        name=name,
-    )
+    return NatTransf(source=f, target=f, components={i: f.mapping[i] for i in f.source.identities}, name=name)

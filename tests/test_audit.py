@@ -12,17 +12,19 @@ unmapped morphism.
 from __future__ import annotations
 
 import dataclasses
+import random
 from itertools import islice
 
 import pytest
 
-from arrowcat import fixtures as fx, report
+from arrowcat import fixtures as fx, functors, report
 from arrowcat._search import functor_search
 from arrowcat.adjunction import poset_adjunction, poset_functor
+from arrowcat.core import ObjlessCategory
 from arrowcat.equivalence import NatTransf, identity_nat, skeleton, validate_nat
 from arrowcat.errors import WiringError
-from arrowcat.functors import CONTRAVARIANT, FunctorMap, functor_identity, validate_functor
-from arrowcat.generators import gen_cyclic, gen_discrete, gen_finset
+from arrowcat.functors import CONTRAVARIANT, FunctorMap, functor_compose, functor_identity, validate_functor
+from arrowcat.generators import Poset, gen_cyclic, gen_discrete, gen_finset, gen_poset, poset_arrow
 from arrowcat.standard import to_objectless
 
 from conftest import reference_validate_functor, reference_validate_nat
@@ -223,3 +225,135 @@ def test_reports_format_only_the_violations_they_keep(monkeypatch):
         got = validate(subject)
         assert (got.total, len(made)) == (total, 100)
         assert got == reference(subject)
+
+
+# The byte passes: a functor between two categories that keep byte rows (a
+# contravariant one through the opposite's transposed rows), and a
+# transformation into one, is first decided in C-level passes, and only a map
+# that fails them is walked.  The 22-chain (253 arrows) keeps byte
+# rows and the 23-chain (276) does not; finset(3, dup 1,2,3,3) has 409 arrows
+# and its 60-arrow skeleton keeps byte rows, so its inclusion and retraction
+# cross from one side of the threshold to the other.
+
+
+def _chain(n: int):
+    return gen_poset(Poset.chain([f"c{i:02d}" for i in range(n)]))
+
+
+def _threshold_functors() -> dict[str, FunctorMap]:
+    c22, c23 = _chain(22), _chain(23)
+    skel = skeleton(to_objectless(gen_finset(3, (1, 2, 3, 3))), seed=3)
+    assert (c22._layout is not None, c23._layout, skel.skeleton._layout is not None) == (True, None, True)
+    low = {f"c{i:02d}": f"c{min(i, 21):02d}" for i in range(23)}  # 23-chain onto the 22-chain, monotone
+    collapse = {m: poset_arrow(low[m.split("_le_")[0]], low[m.split("_le_")[-1]]) for m in c23.morphisms}
+    return {
+        "chain22-identity": functor_identity(c22),
+        "chain23-identity": functor_identity(c23),
+        "chain22-into-23": FunctorMap(source=c22, target=c23, mapping={m: m for m in c22.morphisms}),
+        "chain23-onto-22": FunctorMap(source=c23, target=c22, mapping=collapse),
+        "big-inclusion": skel.inclusion,
+        "big-retraction": skel.retraction,
+        "big-skeleton-identity": functor_identity(skel.skeleton),
+    }
+
+
+THRESHOLD_FUNCTORS = _threshold_functors()
+
+
+def _law_holds(f: FunctorMap) -> bool:
+    """The covariant composition law, entry by entry."""
+    table, image = f.target.table, f.mapping
+    return all(table.get((image[g], image[b])) == image[gb] for (g, b), gb in f.source.table.items())
+
+
+def _squares_hold(nat: NatTransf) -> bool:
+    """Every naturality square defined and commuting, square by square."""
+    src, table, tau = nat.source.source, nat.source.target.table, nat.components
+    fmap, gmap = nat.source.mapping, nat.target.mapping
+    return all(table.get((tau[src.cod[m]], fmap[m])) is not None
+               and table.get((tau[src.cod[m]], fmap[m])) == table.get((gmap[m], tau[src.dom[m]]))
+               for m in src.morphisms)
+
+
+@pytest.mark.parametrize("name", sorted(THRESHOLD_FUNCTORS))
+def test_functor_reports_match_reference_across_the_byte_threshold(name):
+    base, rng = THRESHOLD_FUNCTORS[name], random.Random(name)
+    keys, values = sorted(base.source.morphisms), sorted(base.target.morphisms)
+    edits = [base.mapping] + [{**base.mapping, rng.choice(keys): rng.choice(values)} for _ in range(4)]
+    for mapping in edits:
+        for f in (dataclasses.replace(base, mapping=mapping), dataclasses.replace(base, mapping=mapping,
+                                                                                   variance=CONTRAVARIANT)):
+            assert validate_functor(f) == reference_validate_functor(f), (name, f.variance)
+    assert validate_functor(base).ok
+
+
+def test_byte_passes_decide_exactly_the_laws():
+    # A pass that wrongly fails still reports right, since the walk is exact,
+    # so each pass is held to the law itself: on every edit of the corpus
+    # whose maps are total and known, and on the functors across the threshold.
+    bases = [f for name, f in sorted(FUNCTORS.items()) if name not in LARGE_EDITS]
+    mappings = [(f, m) for f in bases for m in [f.mapping, *_edits(f.mapping, f.source.morphisms,
+                                                                        f.target.morphisms)]]
+    mappings += [(f, f.mapping) for f in (FUNCTORS["finset3-identity"], *THRESHOLD_FUNCTORS.values())]
+    decided = 0
+    for f, mapping in mappings:
+        if mapping.keys() != f.source.morphisms or not f.target.morphisms.issuperset(mapping.values()):
+            continue
+        edited = dataclasses.replace(f, mapping=mapping)
+        # The same map as a contravariant functor out of the opposite is the same law.
+        for view in (edited, dataclasses.replace(edited, source=f.source.opposite(), variance=CONTRAVARIANT)
+                     .covariant_view()):
+            holds = functors._composition_holds(view.source, view.target, dict(mapping).__getitem__)
+            assert holds == (_law_holds(view) and None not in (f.source._layout, f.target._layout)), mapping
+            decided += holds
+    assert decided > 20
+    decided = 0
+    for nat in TRANSFORMATIONS.values():
+        src, dst = nat.source.source, nat.source.target
+        for comps in [nat.components, *_edits(nat.components, src.identities, dst.morphisms)]:
+            if comps.keys() != src.identities or not dst.morphisms.issuperset(comps.values()):
+                continue
+            edited = dataclasses.replace(nat, components=comps)
+            assert functors._squares_commute(edited) == (_squares_hold(edited) and dst._layout is not None)
+            decided += functors._squares_commute(edited)
+    assert decided >= 5
+
+
+def test_byte_passes_build_no_dict_index():
+    # Up to 255 morphisms a valid functor or transformation is decided on the
+    # byte rows alone: neither category builds its dict rows or columns.
+    result = skeleton(fx.finset_dup(), seed=1)
+    cat = ObjlessCategory.build(result.retraction.source.morphisms, dict(result.retraction.source.table))
+    skel = ObjlessCategory.build(result.skeleton.morphisms, dict(result.skeleton.table))
+    inclusion = FunctorMap(source=skel, target=cat, mapping=result.inclusion.mapping)
+    retraction = FunctorMap(source=cat, target=skel, mapping=result.retraction.mapping)
+    witness = NatTransf(functor_identity(cat), functor_compose(inclusion, retraction), result.witness.components)
+    opposite = skel.opposite()
+    contravariant = FunctorMap(source=opposite, target=cat, mapping=inclusion.mapping, variance=CONTRAVARIANT)
+    for check, subject in [(validate_functor, inclusion), (validate_functor, retraction), (validate_nat, witness),
+                           (validate_functor, contravariant)]:
+        assert check(subject).ok
+    assert [(c._rows, c._cols) for c in (cat, skel, opposite)] == [(None, None)] * 3
+
+
+def test_nat_reports_match_reference_across_the_byte_threshold():
+    # The square pass reads only the target's byte rows: the 23-chain onto the
+    # 22-chain, and the retraction of the 409-arrow category onto its skeleton,
+    # take it from a source without them.
+    rng, checked = random.Random(5), 0
+    big = THRESHOLD_FUNCTORS["big-retraction"].source
+    for nat in [identity_nat(f) for _, f in sorted(THRESHOLD_FUNCTORS.items())] + [skeleton(big, seed=3).witness]:
+        src, dst = nat.source.source, nat.source.target
+        idents, arrows, targets = sorted(src.identities), sorted(src.morphisms), sorted(dst.morphisms)
+        edited = [nat] + [dataclasses.replace(nat, components={**nat.components,
+                                                               rng.choice(idents): rng.choice(targets)})
+                          for _ in range(3)]
+        edited += [dataclasses.replace(nat, target=dataclasses.replace(
+            nat.target, mapping={**nat.target.mapping, rng.choice(arrows): rng.choice(targets)})) for _ in range(2)]
+        for e in edited:
+            assert validate_nat(e) == reference_validate_nat(e)
+            if dst.morphisms.issuperset(e.components.values()):
+                assert functors._squares_commute(e) == (_squares_hold(e) and dst._layout is not None)
+            checked += 1
+        assert validate_nat(nat).ok
+    assert checked == 48

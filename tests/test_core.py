@@ -6,7 +6,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -499,3 +499,63 @@ def test_index_and_hash_take_no_part_in_equality_or_repr():
     cat.rows
     assert cat == again and repr(cat) == repr(again) and hash(cat) == hash(again)
     assert "_rows" not in repr(cat) and "_hash" not in repr(cat)
+
+
+def _by_name(layout) -> dict[tuple[str, str], str]:
+    """Byte rows read back by name, ``{(g, b): g.b}`` over the defined pairs."""
+    order, code, rows = layout
+    assert code == {m: i for i, m in enumerate(order)} and [len(row) for row in rows] == [len(order)] * len(order)
+    return {(g, b): order[c] for g, row in zip(order, rows) for b, c in zip(order, row) if c != 255}
+
+
+def _assert_layout_is_its_own(cat: ObjlessCategory) -> None:
+    # The layout a category derives must be the one _Table builds from its own
+    # table, compared by name, and the category the one build makes of it.
+    t = core._Table(cat.morphisms, dict(cat.table))
+    assert (cat._layout is None) == (t.dense is None)
+    if cat._layout is not None:
+        assert set(cat._layout[0]) == cat.morphisms
+        assert _by_name(cat._layout) == _by_name((t.order, t.code, t.rows)) == dict(cat.table)
+    again = ObjlessCategory.build(cat.morphisms, dict(cat.table))
+    assert cat == again and hash(cat) == hash(again)
+
+
+def _chain(n: int) -> ObjlessCategory:
+    return gen_poset(Poset.chain([f"c{i:02d}" for i in range(n)]))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_derived_layouts_are_their_own_on_random_categories(seed):
+    for derived in _derived(gen_random(seed, 16)):
+        _assert_layout_is_its_own(derived)
+
+
+def test_derived_layouts_are_their_own_on_the_pool(pool):
+    for cat in pool.values():
+        for derived in _derived(cat):
+            _assert_layout_is_its_own(derived)
+
+
+def test_every_full_subcategory_of_the_small_pool_keeps_its_own_layout(small_pool):
+    for cat in small_pool.values():
+        idents = sorted(cat.identities)
+        for size in range(len(idents) + 1):
+            for keep in combinations(idents, size):
+                sub = cat.full_subcategory(keep)
+                _assert_layout_is_its_own(sub)
+                _assert_layout_is_its_own(sub.opposite())
+
+
+def test_full_subcategories_lay_out_across_the_byte_threshold():
+    # The 23-chain (276 arrows) keeps no byte rows; a full subcategory of it
+    # that fits a byte lays out its filtered table, and one of the 22-chain
+    # restricts the parent's rows.
+    c22, c23 = _chain(22), _chain(23)
+    assert c22._layout is not None and c23._layout is None
+    idents = sorted(c23.identities)
+    for cat, keep in [(c23, idents[:22]), (c23, idents[1::2]), (c23, idents[:1]), (c22, idents[3:17]),
+                      (c22.opposite(), idents[::3])]:
+        sub = cat.full_subcategory(keep)
+        assert sub._layout is not None
+        _assert_layout_is_its_own(sub)
+        _assert_layout_is_its_own(sub.opposite())

@@ -2,8 +2,12 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
 import time
 from itertools import cycle
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -329,6 +333,27 @@ def test_full_subcategory_rejects_a_non_identity():
         fx.walking_iso().full_subcategory({"ia", "f"})
     with pytest.raises(NameNotFoundError):
         fx.walking_iso().full_subcategory({"nowhere"})
+
+
+_SUBCATEGORY_ERROR = """
+from arrowcat.generators import Poset, gen_poset
+try:
+    gen_poset(Poset.chain(["a", "b", "c"])).full_subcategory({"b_le_c", "a_le_c", "a"})
+except Exception as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+def test_full_subcategory_names_the_least_bad_name_under_every_hash_seed():
+    # The names are checked in name order, not in the frozenset's, whose order
+    # follows the per-process string hash.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", _SUBCATEGORY_ERROR], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout == "NotAnIdentityError 'a_le_c' is not an identity\n", seed
 
 
 def test_skeleton_deterministic_per_seed():
