@@ -470,13 +470,13 @@ class _Parser:
             self.expect_terminator()
 
     def compose_table(
-        self, entries: list[tuple[str, str, str, int]], arrows: Container[str],
+        self, entries: list[tuple[str, str, str, int]], arrows: Mapping[str, object],
     ) -> dict[tuple[str, str], str]:
         # One pass, unless a name is undeclared or a pair written twice: the loop reports those.
         if entries:
             afters, befores, results, _ = zip(*entries)
             table = dict(zip(zip(afters, befores), results))
-            if len(table) == len(entries) and all(map(arrows.__contains__, chain(afters, befores, results))):
+            if len(table) == len(entries) and arrows.keys() >= set(chain(afters, befores, results)):
                 return table
         table = {}
         for after, before, result, offset in entries:

@@ -3,7 +3,8 @@
 Exit codes: 0 when the queried property holds (or output was produced),
 1 when it fails (invalid category, not equivalent, ...), 2 for usage, parse,
 capacity, and wiring errors.  Structured output (--json) emits one report
-object per invocation on stdout; diagnostics go to stderr.
+object per invocation on stdout once its arguments are read, failures included;
+diagnostics go to stderr.  Argparse reads only the argv that ``_read_argv`` cannot.
 
 Only the text layer and the validators load with this module; each command
 that decides something imports its modules when it runs, so a cold
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import catspec
 from .catspec import CatspecDocument, CatspecError, parse, serialize
@@ -42,14 +42,15 @@ class _Output:
 
             print(json.dumps(self.record, sort_keys=True))
             return
-        for line in self.lines:
-            print(line)
+        if self.lines:
+            print("\n".join(self.lines))
         if "catspec" in self.record:
             print(self.record["catspec"], end="")
 
 
 def _read_document(path: str) -> CatspecDocument:
-    return parse(Path(path).read_text(encoding="utf-8"))
+    with open(path, encoding="utf-8") as handle:
+        return parse(handle.read())
 
 
 def _report_payload(report) -> list[dict]:
@@ -333,7 +334,7 @@ def _cmd_convert(args, out: _Output) -> int:
     converted = CatspecDocument()
     rekey: dict[str, dict[str, str]] = {}
     for name in names:
-        decl = doc.categories[name]
+        decl = doc._category_decl(name)
         if args.to == "objectless":
             cat = doc.objectless(name)
             converted.categories[name] = catspec.objless_decl(name, cat)
@@ -391,6 +392,7 @@ def _arg(*flags: str, **kwargs) -> tuple:
     return flags, kwargs
 
 
+_JSON = _arg("--json", action="store_true", help="emit one JSON report object")
 _FILE = _arg("file")
 _CAT = _arg("--cat", required=True)
 _LEFT, _RIGHT = _arg("--left", required=True), _arg("--right", required=True)
@@ -406,7 +408,7 @@ def _mode() -> tuple:
     return _arg("--mode", choices=[STANDARD, PAPER_LITERAL], default=STANDARD)
 
 
-# Each command: its handler, its help line, and its arguments after --json,
+# Each command: its handler, its help line, and its arguments after _JSON,
 # each a (flags, kwargs) pair or a function that makes one.
 _COMMANDS = {
     "check": (_cmd_check, "validate every entity in a catspec file", [_FILE]),
@@ -454,37 +456,75 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         if one and name != command:
             continue
         p = sub.add_parser(name, help=help_line)
-        p.add_argument("--json", action="store_true", help="emit one JSON report object")
-        for argument in arguments:
+        for argument in (_JSON, *arguments):
             flags, kwargs = argument() if callable(argument) else argument
             p.add_argument(*flags, **kwargs)
     return parser
 
 
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """``build_parser().parse_args(argv)`` read from the ``_COMMANDS`` specs, or None unless every
+    token is plain: an exact flag, its value not starting with ``-``, or the next positional."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    values, flags, positionals, required = {"command": argv[0]}, {}, [], set()
+    for argument in (_JSON, *_COMMANDS[argv[0]][2]):
+        (name,), kwargs = argument() if callable(argument) else argument
+        dest = name.lstrip("-").replace("-", "_")
+        if name[0] == "-":
+            flags[name] = dest, kwargs
+        else:
+            positionals.append((dest, kwargs))
+        values[dest] = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+        if kwargs.get("required"):
+            required.add(dest)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-" and positionals:
+            (dest, kwargs), value = positionals.pop(0), token
+        elif token not in flags:
+            return None
+        else:
+            dest, kwargs = flags[token]
+            if kwargs.get("action") == "store_true":
+                values[dest] = True
+                continue
+            if (value := next(tokens, "-"))[:1] == "-":
+                return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[dest] = [*(values[dest] or ()), value] if kwargs.get("action") == "append" else value
+        required.discard(dest)
+    return None if positionals or required else argparse.Namespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        args = _read_argv(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    out = _Output(args.command, getattr(args, "json", False))
+    out = _Output(args.command, args.json)
     try:
         code = _COMMANDS[args.command][0](args, out)
     except CatspecError as exc:
-        for diagnostic in exc.diagnostics:
-            print(diagnostic, file=sys.stderr)
-        return USAGE
+        code, lines = USAGE, [str(diagnostic) for diagnostic in exc.diagnostics]
     except InvalidCategoryError as exc:
-        print("invalid category:", file=sys.stderr)
-        for line in exc.report.lines():
-            print(f"  {line}", file=sys.stderr)
-        return FAIL
+        code, lines = FAIL, ["invalid category:", *(f"  {line}" for line in exc.report.lines())]
     except (OSError, ValueError, ArrowCatError) as exc:
-        print(exc, file=sys.stderr)
-        return USAGE
-    out.record["exit"] = code
-    out.flush()
+        code, lines = USAGE, [str(exc)]
+    else:
+        out.record["exit"] = code
+        out.flush()
+        return code
+    print(*lines, sep="\n", file=sys.stderr)
+    if out.as_json:
+        out.record.update(ok=False, exit=code, diagnostics=lines)
+        out.flush()
     return code
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from arrowcat.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -48,10 +50,10 @@ def test_check_json_counts_truncated_violations(capsys, tmp_path):
 
 
 def test_unreadable_file_exit_2(capsys, monkeypatch):
-    def denied(self, *args, **kwargs):
-        raise PermissionError(f"permission denied: {self}")
+    def denied(path, *args, **kwargs):
+        raise PermissionError(f"permission denied: {path}")
 
-    monkeypatch.setattr(Path, "read_text", denied)
+    monkeypatch.setattr("arrowcat.cli.open", denied, raising=False)
     code, _, err = run(capsys, "check", str(FIXTURES / "twochain.cat"))
     assert code == 2
     assert "permission denied" in err
@@ -303,3 +305,40 @@ def test_usage_errors(capsys):
     assert run(capsys)[0] == 2
     assert run(capsys, "check", "/nonexistent/file.cat")[0] == 2
     assert run(capsys, "generate", "finset", "--max-size", "5") == (2, "", "5705 morphisms exceeds cap of 4096\n")
+    assert run(capsys, "convert", str(FIXTURES / "twochain.cat"), "--to", "objectless", "--cat", "Nope") == \
+        (2, "", "no category named 'Nope'\n")
+
+
+PERTURBED = "objless F {\n  arrows: e, s;\n  compose: e . e = e;\n  compose: s . s = e;\n}\n"
+
+
+@pytest.mark.parametrize("argv, code, stderr", [
+    (["check", str(FIXTURES / "malformed" / "unexpected_char.cat")], 2,
+     ["2:13: lex: unexpected character '@'"]),
+    (["identities", "{perturbed}", "--cat", "F"], 1, ["invalid category:", "  violation["]),
+    (["identities", str(FIXTURES / "twochain.cat"), "--cat", "Nope"], 2, ["no category named 'Nope'"]),
+    (["check", "/nonexistent/file.cat"], 2, ["No such file or directory"]),
+], ids=["catspec-error", "invalid-category", "unknown-name", "os-error"])
+def test_json_failure_prints_one_record(capsys, tmp_path, argv, code, stderr):
+    perturbed = tmp_path / "perturbed.cat"
+    perturbed.write_text(PERTURBED)
+    argv = [arg.format(perturbed=perturbed) for arg in argv]
+    text = run(capsys, *argv)
+    assert text[0] == code and text[1] == ""
+    lines = text[2].splitlines()
+    assert len(lines) >= len(stderr) and all(piece in line for piece, line in zip(stderr, lines))
+    got, out, err = run(capsys, *argv, "--json")
+    assert (got, err) == (code, text[2])
+    record = json.loads(out)
+    assert record == {"command": argv[0], "ok": False, "exit": code, "diagnostics": err.splitlines()}
+
+
+@pytest.mark.parametrize("newline", ["\r", "\r\n"])
+def test_lone_cr_and_crlf_read_as_newlines(capsys, tmp_path, newline):
+    valid = tmp_path / "valid.cat"
+    valid.write_bytes(PERTURBED.replace("s . s = e", "s . s = s").replace("\n", newline).encode())
+    assert run(capsys, "check", str(valid)) == (0, "ok: category F\n", "")
+    bad = tmp_path / "bad.cat"
+    bad.write_bytes(PERTURBED.replace("  compose: s . s = e", "  bad$").replace("\n", newline).encode())
+    code, out, err = run(capsys, "check", str(bad))
+    assert (code, out, err.splitlines()[0]) == (2, "", "4:6: lex: unexpected character '$'")

@@ -1,21 +1,26 @@
-"""The one-command parser that ``main`` builds against the full parser.
+"""``main``'s plain-argv reader and one-command parser against the full parser.
 
 For every command and for the top level, ``main`` must give the same exit
-code, stdout and stderr as with the full ``build_parser()``, and the same
-parsed ``Namespace``.
+code, stdout and stderr as with the reader off and the full ``build_parser()``,
+and the same parsed ``Namespace``.
 """
 from __future__ import annotations
 
 import argparse
+import io
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arrowcat import cli
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TWOCHAIN = str(FIXTURES / "twochain.cat")
+GALOIS = str(FIXTURES / "galois.cat")
 
 # A valid argv for each command, and a bad ``choices`` value where it has one.
 VALID = {
@@ -83,6 +88,7 @@ def _case_id(argv: list[str]) -> str:
 def test_main_matches_the_full_parser(argv, capsys, monkeypatch):
     narrow = _run(capsys, argv)
     full = cli.build_parser
+    monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
     monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
     assert narrow == _run(capsys, argv)
 
@@ -90,7 +96,9 @@ def test_main_matches_the_full_parser(argv, capsys, monkeypatch):
 @pytest.mark.parametrize("command", VALID)
 def test_namespace_matches_the_full_parser(command):
     argv = VALID[command]
-    assert cli.build_parser(command).parse_args(argv) == cli.build_parser().parse_args(argv)
+    full = cli.build_parser().parse_args(argv)
+    assert cli.build_parser(command).parse_args(argv) == full
+    assert cli._read_argv(argv) == full
 
 
 def test_one_command_builds_one_subparser(monkeypatch, capsys):
@@ -103,6 +111,8 @@ def test_one_command_builds_one_subparser(monkeypatch, capsys):
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
     assert _run(capsys, VALID["check"])[0] == 0
+    assert made == []
+    assert _run(capsys, VALID["check"] + ["--bogus"])[0] == 2
     assert made == ["check"]
     made.clear()
     assert _run(capsys, ["-h"])[0] == 0
@@ -113,3 +123,110 @@ def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["arrowcat"] + VALID["identities"])
     assert cli.main() == 0
     assert capsys.readouterr().out.split() == ["i0", "i1"]
+
+
+# Drawn argv: each command's own specs, each argument written plainly or with a
+# fault that must send the argv to argparse.
+NAMES = ["TwoChain", "P", "Q", "F", "G", "IdP", "eta", "eps", "i0", "i1", "Nope", "terminal", "products"]
+
+
+def _specs(command: str) -> list[tuple]:
+    return [spec() if callable(spec) else spec for spec in (cli._JSON, *cli._COMMANDS[command][2])]
+
+
+ALL_FLAGS = sorted({flags[0] for command in cli._COMMANDS for flags, _ in _specs(command) if flags[0][0] == "-"})
+
+
+def _value(draw, name: str, kwargs: dict) -> tuple[str, str | None]:
+    """A plain value for an argument and None, or a faulty value and its fault."""
+    kind = draw(st.sampled_from(["plain"] * 5 + ["dash", "bad"]))
+    if kind == "dash":
+        return draw(st.sampled_from(["-", "-1", "--json", "-h"])), "dash"
+    if kind == "bad" and ("choices" in kwargs or kwargs.get("type") is int):
+        return draw(st.sampled_from(["sideways", "1.5", "x", ""])), "bad"
+    if "choices" in kwargs:
+        return draw(st.sampled_from(kwargs["choices"])), None
+    if kwargs.get("type") is int:
+        return str(draw(st.integers(0, 3))), None
+    if name == "file":
+        return draw(st.sampled_from([TWOCHAIN, GALOIS, "missing.cat"])), None
+    return draw(st.sampled_from(NAMES)), None
+
+
+@st.composite
+def drawn_argv(draw) -> tuple[list[str], list[str]]:
+    """An argv for one command, and the faults written into it (none: it is plain)."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    specs = _specs(command)
+    own = {flags[0] for flags, _ in specs}
+    chunks, faults, dangling = [], [], []
+    for (name,), kwargs in specs:
+        if name[0] != "-":
+            if draw(st.integers(0, 7)) == 0:
+                faults.append("missing positional")
+                continue
+            value, fault = _value(draw, name, kwargs)
+            chunks.append([value])
+            # A value starting with - fills no positional, so an extra token may fill it.
+            faults += {None: [], "bad": ["bad"], "dash": ["dash", "missing positional"]}[fault]
+            continue
+        count = draw(st.sampled_from([0, 1, 1, 1, 2] if kwargs.get("required") else [0, 0, 1, 2]))
+        if kwargs.get("required") and count == 0:
+            faults.append("missing required")
+        if kwargs.get("action") == "store_true":
+            chunks += [[name]] * count
+            continue
+        dangling.append(name)
+        abbreviations = [name[:k] for k in range(3, len(name)) if name[:k] not in own]
+        for _ in range(count):
+            value, fault = _value(draw, name, kwargs)
+            faults += [fault] if fault else []
+            form = draw(st.sampled_from(["exact"] * 6 + ["equals", "abbreviated"]))
+            if form == "equals":
+                chunks.append([f"{name}={value}"])
+                faults.append("equals")
+            elif form == "abbreviated" and abbreviations:
+                chunks.append([draw(st.sampled_from(abbreviations)), value])
+                faults.append("abbreviated")
+            else:
+                chunks.append([name, value])
+    extra = draw(st.sampled_from([None] * 6 + ["extra", "other", "-h", "--help", "--", "-", "dangling"]))
+    if extra == "extra" and "missing positional" not in faults:
+        chunks.append(["extra"])
+    elif extra == "other":
+        chunks.append([draw(st.sampled_from([flag for flag in ALL_FLAGS if flag not in own]))])
+    elif extra in ("-h", "--help", "--", "-"):
+        chunks.append([extra])
+    elif not (extra == "dangling" and dangling):
+        extra = None
+    faults += [extra] if extra else []
+    argv = [command] + [token for chunk in draw(st.permutations(chunks)) for token in chunk]
+    if extra == "dangling":
+        argv.append(draw(st.sampled_from(dangling)))
+    return argv, faults
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawn_argv())
+def test_reader_reads_plain_argv_and_refuses_the_rest(case):
+    argv, faults = case
+    namespace = cli._read_argv(argv)
+    assert (namespace is not None) == (not faults)
+    if namespace is not None:
+        assert namespace == cli.build_parser().parse_args(argv)
+
+
+def _main(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_argv())
+def test_main_matches_main_without_the_reader(case):
+    argv, _ = case
+    read = _main(argv)
+    with mock.patch.object(cli, "_read_argv", lambda argv: None):
+        assert read == _main(argv)
