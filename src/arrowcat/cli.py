@@ -357,34 +357,24 @@ def _cmd_convert(args, out: _Output) -> int:
     return OK
 
 
-def _cmd_generate(args, out: _Output) -> int:
-    from .generators import Poset, gen_cyclic, gen_discrete, gen_finset, gen_poset, gen_random, gen_walking_iso
+# kind -> (default name, formatted with the arguments; builder from the arguments and the generators module)
+_GENERATORS = {
+    "finset": ("FinSet", lambda a, g: g.gen_finset(a.max_size, dup=tuple(a.dup or ()))),
+    "discrete": ("Discrete{n}", lambda a, g: g.gen_discrete(a.n)),
+    "walking-iso": ("WalkingIso", lambda a, g: g.gen_walking_iso()),
+    "chain": ("Chain{n}", lambda a, g: g.gen_poset(g.Poset.chain(f"{a.prefix}{i}" for i in range(a.n)))),
+    "cyclic": ("Cyclic{n}", lambda a, g: g.gen_cyclic(a.n)),
+    "random": ("Random{seed}", lambda a, g: g.gen_random(a.seed, a.max_morphisms)),
+}
 
-    doc = CatspecDocument()
-    if args.kind == "finset":
-        name = args.name or "FinSet"
-        std = gen_finset(args.max_size, dup=tuple(args.dup or ()))
-        doc.categories[name] = catspec.standard_decl(name, std)
-    elif args.kind == "discrete":
-        name = args.name or f"Discrete{args.n}"
-        doc.categories[name] = catspec.objless_decl(name, gen_discrete(args.n))
-    elif args.kind == "walking-iso":
-        name = args.name or "WalkingIso"
-        doc.categories[name] = catspec.objless_decl(name, gen_walking_iso())
-    elif args.kind == "chain":
-        name = args.name or f"Chain{args.n}"
-        poset = Poset.chain(f"{args.prefix}{i}" for i in range(args.n))
-        doc.categories[name] = catspec.objless_decl(name, gen_poset(poset))
-    elif args.kind == "cyclic":
-        name = args.name or f"Cyclic{args.n}"
-        doc.categories[name] = catspec.objless_decl(name, gen_cyclic(args.n))
-    elif args.kind == "random":
-        name = args.name or f"Random{args.seed}"
-        doc.categories[name] = catspec.objless_decl(
-            name, gen_random(args.seed, args.max_morphisms))
-    else:
-        raise WiringError(f"unknown generator {args.kind!r}")
-    out.catspec(serialize(doc))
+
+def _cmd_generate(args, out: _Output) -> int:
+    from . import generators
+
+    default, build = _GENERATORS[args.kind]
+    name = args.name or default.format_map(vars(args))
+    decl = catspec.standard_decl if args.kind == "finset" else catspec.objless_decl
+    out.catspec(serialize(CatspecDocument(categories={name: decl(name, build(args, generators))})))
     return OK
 
 
@@ -430,7 +420,7 @@ _COMMANDS = {
     "convert": (_cmd_convert, "rewrite categories between objectless and standard form", [
         _FILE, _arg("--to", choices=["objectless", "standard"], required=True), _arg("--cat")]),
     "generate": (_cmd_generate, "emit a generated category as catspec", [
-        _arg("kind", choices=["finset", "discrete", "walking-iso", "chain", "cyclic", "random"]),
+        _arg("kind", choices=list(_GENERATORS)),
         _arg("--name"), _arg("--max-size", type=int, default=2), _arg("--dup", type=int, action="append"),
         _arg("--n", type=int, default=2), _arg("--prefix", default="c"), _SEED,
         _arg("--max-morphisms", type=int, default=16)]),

@@ -11,7 +11,6 @@ from typing import Iterable
 
 import pytest
 
-from arrowcat import fixtures as fx
 from arrowcat.core import (
     MAX_MORPHISMS,
     ObjlessCategory,
@@ -39,6 +38,8 @@ from arrowcat.report import (
     ValidationReport,
     violation,
 )
+
+import catalog as fx
 
 
 def brute_neutral(morphisms, table) -> set[str]:

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from arrowcat import fixtures as fx
 from arrowcat.adjunction import check_adjunction, galois_oracle, galois_violations, poset_adjunction
 from arrowcat.catspec import CatspecError, parse, serialize
 from arrowcat.equivalence import (
@@ -30,6 +29,7 @@ from arrowcat.generators import gen_finset, gen_random
 from arrowcat.limits import preserves_finite_limits
 from arrowcat.standard import to_objectless, to_standard
 
+import catalog as fx
 from conftest import brute_neutral
 
 FIXTURES = Path(__file__).parent / "fixtures"

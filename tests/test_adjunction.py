@@ -5,7 +5,6 @@ import dataclasses
 
 import pytest
 
-from arrowcat import fixtures as fx
 from arrowcat import functors
 from arrowcat.adjunction import (
     PAPER_LITERAL,
@@ -23,6 +22,8 @@ from arrowcat.equivalence import NatTransf
 from arrowcat.errors import NotMonotoneError, WiringError
 from arrowcat.functors import functor_compose, functor_identity, validate_functor
 from arrowcat.limits import preserves_finite_limits
+
+import catalog as fx
 
 
 def identity_candidate(cat) -> AdjunctionCandidate:

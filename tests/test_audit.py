@@ -17,7 +17,7 @@ from itertools import islice
 
 import pytest
 
-from arrowcat import fixtures as fx, functors, report
+from arrowcat import functors, report
 from arrowcat._search import functor_search
 from arrowcat.adjunction import poset_adjunction, poset_functor
 from arrowcat.core import ObjlessCategory
@@ -27,6 +27,7 @@ from arrowcat.functors import CONTRAVARIANT, FunctorMap, functor_compose, functo
 from arrowcat.generators import Poset, gen_cyclic, gen_discrete, gen_finset, gen_poset, poset_arrow
 from arrowcat.standard import to_objectless
 
+import catalog as fx
 from conftest import reference_validate_functor, reference_validate_nat
 
 UNKNOWN = "zz_unknown"

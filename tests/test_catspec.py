@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arrowcat import catspec, core, fixtures as fx
+from arrowcat import catspec, core
 from arrowcat.catspec import (
     CatspecDocument,
     CatspecError,
@@ -37,6 +37,7 @@ from arrowcat.generators import (
     gen_walking_iso,
 )
 from arrowcat.standard import validate_standard
+import catalog as fx
 from conftest import reference_from_covers, reference_poset_category
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from arrowcat import catspec
 from arrowcat.cli import main
+from arrowcat.generators import Poset, gen_cyclic, gen_discrete, gen_finset, gen_poset, gen_random, gen_walking_iso
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -298,6 +300,21 @@ def test_generate_other_kinds(capsys):
                  ["generate", "random", "--seed", "5", "--max-morphisms", "12"]):
         code, out, _ = run(capsys, *argv)
         assert code == 0 and out.strip()
+
+
+def test_generate_prints_the_generators_category_under_its_default_name(capsys):
+    chain = gen_poset(Poset.chain(["c0", "c1", "c2"]))
+    cases = [
+        (["finset"], "FinSet", catspec.standard_decl, gen_finset(2)),
+        (["discrete", "--n", "3"], "Discrete3", catspec.objless_decl, gen_discrete(3)),
+        (["walking-iso"], "WalkingIso", catspec.objless_decl, gen_walking_iso()),
+        (["chain", "--n", "3"], "Chain3", catspec.objless_decl, chain),
+        (["cyclic", "--n", "4"], "Cyclic4", catspec.objless_decl, gen_cyclic(4)),
+        (["random", "--seed", "5"], "Random5", catspec.objless_decl, gen_random(5, 16)),
+    ]
+    for argv, name, decl, cat in cases:
+        want = catspec.serialize(catspec.CatspecDocument(categories={name: decl(name, cat)}))
+        assert run(capsys, "generate", *argv) == (0, want, ""), argv
 
 
 def test_usage_errors(capsys):

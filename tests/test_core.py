@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arrowcat import core
-from arrowcat import fixtures as fx
 from arrowcat.core import (
     ObjlessCategory,
     infer_identities,
@@ -25,9 +24,10 @@ from arrowcat.errors import (
     NameNotFoundError,
     NotAnIdentityError,
 )
-from arrowcat.generators import Poset, gen_cyclic, gen_poset, gen_random
+from arrowcat.generators import Poset, disjoint_union, gen_cyclic, gen_discrete, gen_poset, gen_random
 from arrowcat.report import MAX_VIOLATIONS, violation
 
+import catalog as fx
 from conftest import brute_identities, brute_neutral, reference_validate_objectless
 
 random_categories = st.integers(min_value=0, max_value=10_000).map(
@@ -158,7 +158,7 @@ DIFFERENTIAL_BASES = {
     "walking_iso": fx.walking_iso,
     "one": fx.one,
     "finset2": fx.finset2,
-    "chain4": lambda: fx.chain_category(4, "c"),
+    "chain4": lambda: gen_poset(fx.chain_poset(4, "c")),
     "cyclic5": lambda: gen_cyclic(5),
 }
 
@@ -522,6 +522,15 @@ def _assert_layout_is_its_own(cat: ObjlessCategory) -> None:
 
 def _chain(n: int) -> ObjlessCategory:
     return gen_poset(Poset.chain([f"c{i:02d}" for i in range(n)]))
+
+
+def test_byte_rows_end_at_255_morphisms():
+    # Codes 0..254 name the morphisms and 255 an undefined composite, so 255
+    # morphisms keep byte rows and 256 take the path without them.
+    for extra, kept in ((2, True), (3, False)):
+        cat = disjoint_union(_chain(22), gen_discrete(extra))
+        assert (len(cat.morphisms), cat._layout is not None) == (253 + extra, kept)
+        assert validate_objectless(cat.morphisms, cat.table) == reference_validate_objectless(cat.morphisms, cat.table)
 
 
 @pytest.mark.parametrize("seed", range(30))

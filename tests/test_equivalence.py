@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arrowcat import equivalence, fixtures as fx
+from arrowcat import equivalence
 from arrowcat.equivalence import (
     NatTransf,
     are_equivalent,
@@ -30,10 +30,11 @@ from arrowcat.core import ObjlessCategory
 from arrowcat.errors import CapacityError, NameNotFoundError, NotAnIdentityError
 from arrowcat.functors import FunctorMap, functor_identity, validate_functor
 from arrowcat.generators import (
-    disjoint_union, gen_cyclic, gen_discrete, gen_finset, gen_random, gen_walking_iso,
+    disjoint_union, gen_cyclic, gen_discrete, gen_finset, gen_poset, gen_random, gen_walking_iso,
 )
 from arrowcat.standard import equal_up_to_renaming, to_objectless, to_standard
 
+import catalog as fx
 from conftest import brute_inverses, brute_iso_related, thick_preorder
 
 random_categories = st.integers(min_value=0, max_value=10_000).map(
@@ -176,7 +177,7 @@ def test_find_category_isomorphism_reflexive():
 
 def test_find_category_isomorphism_relabelling():
     tc = fx.two_chain()
-    renamed = fx.chain_category(2, "p")  # p0 <= p1 with arrow p0_le_p1
+    renamed = gen_poset(fx.chain_poset(2, "p"))  # p0 <= p1 with arrow p0_le_p1
     found = find_category_isomorphism(tc, renamed)
     assert found is not None
     assert found.mapping["a"] == "p0_le_p1"
@@ -389,7 +390,7 @@ def test_are_equivalent_reflexive():
 
 def test_iso_implies_equivalent():
     tc = fx.two_chain()
-    renamed = fx.chain_category(2, "p")
+    renamed = gen_poset(fx.chain_poset(2, "p"))
     assert find_category_isomorphism(tc, renamed) is not None
     assert are_equivalent(tc, renamed) is not None
 

@@ -1,17 +1,23 @@
 """Functor-calculus tests: validation, identities, composition, variance."""
 from __future__ import annotations
 
-from arrowcat import fixtures as fx
-from arrowcat.generators import gen_cyclic
+import pytest
+
+from arrowcat.errors import WiringError
+from arrowcat.generators import gen_cyclic, gen_discrete
 from arrowcat.functors import (
     CONTRAVARIANT,
     FunctorMap,
+    NatTransf,
     functor_cod,
     functor_compose,
     functor_dom,
     functor_identity,
     validate_functor,
+    validate_nat,
 )
+
+import catalog as fx
 
 
 def collapse_functor() -> FunctorMap:
@@ -144,3 +150,15 @@ def test_functor_associativity_on_composable_triples():
     left = functor_compose(functor_compose(idt, f), ids)
     right = functor_compose(idt, functor_compose(f, ids))
     assert left == right == f
+
+
+def test_nat_between_functors_that_share_only_one_end_is_a_wiring_error():
+    # One source and two targets, then two sources and one target: either mismatch alone is enough.
+    c, s, t = gen_discrete(1, "c"), gen_discrete(1, "s"), gen_discrete(1, "t")
+    pairs = [
+        (FunctorMap(c, s, {"c0": "s0"}), FunctorMap(c, t, {"c0": "t0"})),
+        (FunctorMap(s, c, {"s0": "c0"}), FunctorMap(t, c, {"t0": "c0"})),
+    ]
+    for f, g in pairs:
+        with pytest.raises(WiringError, match="different sources or targets"):
+            validate_nat(NatTransf(f, g, {}))

@@ -6,6 +6,7 @@ interpreter, since this one has loaded every module long ago.
 """
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import subprocess
@@ -98,6 +99,29 @@ def test_moved_names_keep_their_old_homes():
         assert getattr(equivalence, name) is getattr(functors, name)
     for name in ("check_cap", "DEFAULT_ISO_CAP"):
         assert getattr(_search, name) is getattr(core, name)
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Every module and name an import in ``path`` reads, relative ones resolved inside arrowcat."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["arrowcat", node.module])) if node.level else node.module
+            names.update([base, *(f"{base}.{alias.name}" for alias in node.names)])
+    return names
+
+
+def test_fixtures_keeps_only_the_two_categories_the_benchmark_imports():
+    fixtures = importlib.import_module("arrowcat.fixtures")
+    assert fixtures.__all__ == ["one", "walking_iso"]
+    assert {name for name in vars(fixtures) if not name.startswith("_")} == {"one", "walking_iso"}
+    assert fixtures.walking_iso is importlib.import_module("arrowcat.generators").gen_walking_iso
+    assert dict(fixtures.one().table) == {("star", "star"): "star"}
+    paths = [*(SRC / "arrowcat").rglob("*.py"), *Path(__file__).parent.rglob("*.py")]
+    assert len(paths) > 20
+    assert [path for path in paths if "arrowcat.fixtures" in _imported_modules(path)] == []
 
 
 def test_unknown_name_raises_attribute_error():

@@ -8,11 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from arrowcat import fixtures as fx
 from arrowcat.equivalence import is_isomorphism
 from arrowcat.errors import InapplicableScopeError, NotAnIdentityError
 from arrowcat.functors import FunctorMap, functor_compose, functor_identity
-from arrowcat.generators import gen_discrete, gen_finset, gen_poset, gen_random
+from arrowcat.generators import Poset, gen_discrete, gen_finset, gen_poset, gen_random
 from arrowcat.limits import (
     binary_product,
     equalizer,
@@ -22,6 +21,7 @@ from arrowcat.limits import (
 )
 from arrowcat.standard import to_objectless
 
+import catalog as fx
 from conftest import brute_limits, brute_preserves, thick_preorder
 
 
@@ -96,6 +96,16 @@ def test_equalizer_requires_parallel_pair():
     f2 = fx.finset2()
     with pytest.raises(ValueError):
         equalizer(f2, "n1_n2_0", "n2_n1_00")
+
+
+def test_equalizer_rejects_a_pair_that_shares_only_one_end():
+    # A shared domain, or a shared codomain, alone does not make a pair parallel.
+    fork = gen_poset(Poset.from_covers("abc", {("a", "b"), ("a", "c")}))
+    with pytest.raises(ValueError, match="a_le_b and a_le_c are not parallel"):
+        equalizer(fork, "a_le_b", "a_le_c")
+    join = gen_poset(Poset.from_covers("abc", {("a", "c"), ("b", "c")}))
+    with pytest.raises(ValueError, match="a_le_c and b_le_c are not parallel"):
+        equalizer(join, "a_le_c", "b_le_c")
 
 
 def test_identity_preserves_all_scoped_limits():

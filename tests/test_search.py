@@ -11,7 +11,6 @@ from itertools import combinations, product
 import pytest
 
 from arrowcat import _search
-from arrowcat import fixtures as fx
 from arrowcat._search import find_table_bijection, functor_search
 from arrowcat.core import ObjlessCategory
 from arrowcat.equivalence import are_equivalent, skeleton
@@ -19,6 +18,7 @@ from arrowcat.functors import FunctorMap, validate_functor
 from arrowcat.generators import gen_finset, gen_monoid, gen_random
 from arrowcat.standard import to_objectless
 
+import catalog as fx
 from conftest import brute_functors
 
 # Every fixture and seeded random category with at most 5 morphisms, so the

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arrowcat import fixtures as fx, standard
+from arrowcat import standard
 from arrowcat.core import MAX_MORPHISMS, validate_objectless
 from arrowcat.errors import CapacityError, InvalidCategoryError
 from arrowcat.generators import gen_discrete, gen_finset, gen_random
@@ -20,6 +20,7 @@ from arrowcat.standard import (
     validate_standard,
 )
 
+import catalog as fx
 from conftest import brute_standard_ok
 
 random_categories = st.integers(min_value=0, max_value=10_000).map(
