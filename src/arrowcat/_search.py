@@ -4,14 +4,15 @@
 ``iso=True`` only the isomorphisms, the functors with a strict inverse.
 Identities are mapped first (in ``iso`` mode rarest hom-size signature
 first), then non-identities in name order, each within the hom class its ends
-pick out.  Each assignment x is checked against the defined composites x.w
-and w.x with w assigned, read from the row and column indexes, and against
-the pairs x is the composite of; in ``iso`` mode the map must also stay
-injective.  Undefined composites need no check: w.x is defined iff cod x =
-dom w, candidates lie in the hom class of their mapped ends, and in ``iso``
-mode identities map injectively.  Each table entry is checked when the last
-of its two factors and its result is assigned, so the leaf yields the map
-without a second pass.
+pick out; in ``iso`` mode the map must also stay injective.  Each table
+entry p.q = r is checked once, at the step that assigns the last of p, q and
+r, so the leaf yields the map without a second pass; in ``iso`` mode, when r
+comes after both factors, the step that assigns the last factor also checks
+that r's only possible image F(p).F(q) is not yet used (forward checking, as
+in VF2: Cordella et al., 2004).  Both lists are built once per category and
+mode.  Undefined composites need no check: w.x is defined iff cod x = dom w,
+candidates lie in the hom class of their mapped ends, and in ``iso`` mode
+identities map injectively.
 
 In ``iso`` mode each morphism also carries an invariant that every
 isomorphism preserves: the size of its hom class, and for an endomorphism
@@ -84,6 +85,25 @@ def _hom_lists(cat: ObjlessCategory, labels: dict[str, tuple]) -> dict[tuple, li
     return _grouped(((cat.dom[m], cat.cod[m], labels.get(m)), m) for m in sorted(cat.morphisms))
 
 
+def _iso_order(cat: ObjlessCategory) -> list[str]:
+    """The ``iso`` search's step order: identities rarest signature first, then the others by name."""
+    sig, freq, _ = _fact(cat, "signatures")
+    return sorted(cat.identities, key=lambda i: (freq[sig[i]], sig[i], i)) + _fact(cat, "arrows")
+
+
+def _checks(cat: ObjlessCategory, order: list[str], iso: bool) -> list[tuple[list, list]]:
+    """Per step of ``order``, the entries (p, q, r) it completes and, if ``iso``, the pairs
+    (p, q) whose last factor it assigns while r is still to come."""
+    pos = dict(zip(order, range(len(order))))
+    steps: list[tuple[list, list]] = [([], []) for _ in order]
+    for (p, q), r in cat.table.items():
+        last = max(pos[p], pos[q])
+        steps[max(last, pos[r])][0].append((p, q, r))
+        if iso and pos[r] > last:
+            steps[last][1].append((p, q))
+    return steps
+
+
 # Each table ``_fact`` keeps; signatures come with their multiset and the identities of each.
 _FACTS = {
     "sizes": _hom_sizes,
@@ -94,7 +114,10 @@ _FACTS = {
     "iso_hom": lambda cat: _hom_lists(cat, _fact(cat, "invariants")[0]),
     "ids": lambda cat: sorted(cat.identities),
     "arrows": lambda cat: sorted(cat.morphisms - cat.identities),
-    "produced_by": lambda cat: _grouped((r, pair) for pair, r in cat.table.items()),
+    "order": lambda cat: _fact(cat, "ids") + _fact(cat, "arrows"),
+    "iso_order": _iso_order,
+    "checks": lambda cat: _checks(cat, _fact(cat, "order"), False),
+    "iso_checks": lambda cat: _checks(cat, _fact(cat, "iso_order"), True),
 }
 
 
@@ -120,14 +143,12 @@ def functor_search(
     if iso and (_fact(src, "invariants")[1] != _fact(dst, "invariants")[1]
                 or _fact(src, "signatures")[1] != _fact(dst, "signatures")[1]):
         return
-    sizes1, sizes2, ids2, produced_by = (_fact(src, "sizes"), _fact(dst, "sizes"), _fact(dst, "ids"),
-                                         _fact(src, "produced_by"))
+    sizes1, sizes2, ids2, rows2 = _fact(src, "sizes"), _fact(dst, "sizes"), _fact(dst, "ids"), dst.rows
     inv1, hom2 = (_fact(src, "invariants")[0], _fact(dst, "iso_hom")) if iso else ({}, _fact(dst, "hom"))
     if iso:
-        (sig1, freq, _), by_sig2 = _fact(src, "signatures"), _fact(dst, "signatures")[2]
-        order = sorted(src.identities, key=lambda i: (freq[sig1[i]], sig1[i], i)) + _fact(src, "arrows")
-    else:
-        order = _fact(src, "ids") + _fact(src, "arrows")
+        sig1, by_sig2 = _fact(src, "signatures")[0], _fact(dst, "signatures")[2]
+    mode = "iso_" if iso else ""
+    order, checks = _fact(src, mode + "order"), _fact(src, mode + "checks")
     mapping: dict[str, str] = {}
     used: set[str] = set()
 
@@ -150,29 +171,15 @@ def functor_search(
                     return False
         return True
 
-    rows1, cols1, rows2, cols2 = src.rows, src.cols, dst.rows, dst.cols
-
-    def consistent(x: str) -> bool:
-        # The composites x.w and w.x defined in src, with w assigned.
-        fx = mapping[x]
-        for composites, images in ((rows1[x], rows2[fx]), (cols1[x], cols2[fx])):
-            for w, r in composites.items():
-                fw = mapping.get(w)
-                if fw is None:
-                    continue
-                rr = images.get(fw)
-                fr = mapping.get(r)
-                if fr is None:
-                    # In iso mode rr is the only possible image of r, so it
-                    # must not already be the image of another morphism.
-                    if iso and rr in used:
-                        return False
-                elif fr != rr:
-                    return False
-        for p, q in produced_by.get(x, ()):
-            fp = mapping.get(p)
-            fq = mapping.get(q)
-            if fp is not None and fq is not None and rows2[fp].get(fq) != fx:
+    def consistent(idx: int) -> bool:
+        exact, forward = checks[idx]
+        for p, q, r in exact:
+            if rows2[mapping[p]].get(mapping[q]) != mapping[r]:
+                return False
+        # In iso mode F(p).F(q) is the only possible image of r, so it must
+        # not already be the image of another morphism.
+        for p, q in forward:
+            if rows2[mapping[p]].get(mapping[q]) in used:
                 return False
         return True
 
@@ -187,7 +194,7 @@ def functor_search(
             mapping[x] = y
             if iso:
                 used.add(y)
-            if (x not in src.identities or homs_fit(x)) and consistent(x):
+            if (x not in src.identities or homs_fit(x)) and consistent(idx):
                 yield from extend(idx + 1)
             del mapping[x]
             used.discard(y)

@@ -155,16 +155,16 @@ def galois_oracle(p: Poset, q: Poset, f: Mapping[str, str], g: Mapping[str, str]
     return not galois_violations(p, q, f, g)
 
 
+def _induced(src: Poset, dst: Poset, mapping: Mapping[str, str], source, target, name: str) -> FunctorMap:
+    """The functor a monotone map induces between the poset categories ``source`` and ``target``."""
+    monotone_map_check(src, dst, mapping)
+    arrow_map = {poset_arrow(x, y): poset_arrow(mapping[x], mapping[y]) for (x, y) in src.leq}
+    return FunctorMap(source=source, target=target, mapping=arrow_map, name=name)
+
+
 def poset_functor(src: Poset, dst: Poset, mapping: Mapping[str, str], name: str = "F") -> FunctorMap:
     """The functor induced by a monotone map between poset categories."""
-    monotone_map_check(src, dst, mapping)
-    arrow_map = {
-        poset_arrow(x, y): poset_arrow(mapping[x], mapping[y])
-        for (x, y) in src.leq
-    }
-    return FunctorMap(
-        source=gen_poset(src), target=gen_poset(dst), mapping=arrow_map, name=name,
-    )
+    return _induced(src, dst, mapping, gen_poset(src), gen_poset(dst), name)
 
 
 def poset_adjunction(
@@ -176,9 +176,9 @@ def poset_adjunction(
     a missing arrow (the maps fail the Galois condition there) simply leaves
     the component out, which validation then reports.
     """
-    left = poset_functor(p, q, f, name="F")
-    right = poset_functor(q, p, g, name="G")
-    cat_p, cat_q = left.source, right.source
+    cat_p, cat_q = gen_poset(p), gen_poset(q)
+    left = _induced(p, q, f, cat_p, cat_q, "F")
+    right = _induced(q, p, g, cat_q, cat_p, "G")
 
     unit_components = {
         x: poset_arrow(x, g[f[x]]) for x in p.elements if p.holds(x, g[f[x]])

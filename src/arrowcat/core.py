@@ -8,10 +8,10 @@ are neutral in every composition they take part in.  Domains and codomains are
 the unique identities each morphism composes with on the right and on the
 left.
 
-Composition is also read by morphism, ``rows[g] = {b: g.b}`` and
-``cols[b] = {g: g.b}``, and the inverse of each invertible ``f`` is kept in
-``inverses``: each built on first use, not by ``build``, so that a category
-only validated and scanned, as in the limit searches, holds none of them.
+Composition is also read by morphism, ``rows[g] = {b: g.b}``, and the inverse
+of each invertible ``f`` is kept in ``inverses``: each built on first use, not
+by ``build``, so that a category only validated and scanned, as in the limit
+searches, holds neither.
 
 Validation reads the table once.  Up to 255 morphisms, each row is a dense
 ``bytes`` of length 256, ``row[m][b] = m.b`` by byte code, 255 where undefined.
@@ -143,14 +143,6 @@ def _identity(m, right, witnesses):
     message = (f"{m} composes with {len(witnesses)} neutral morphisms on the right" if right
                else f"{len(witnesses)} neutral morphisms compose with {m} on the left")
     return violation(IDENTITY_NONUNIQUE, (m, *witnesses[:2]), message)
-
-
-def _index(names: Iterable[str], keys: Iterable[tuple[str, str]], results: Iterable[str]) -> dict[str, dict[str, str]]:
-    """``index[k] = {j: r}`` per key ``(k, j)`` and result ``r``; a table's keys swapped give its columns."""
-    index: dict[str, dict[str, str]] = {m: {} for m in names}
-    for (k, j), r in zip(keys, results):
-        index[k][j] = r
-    return index
 
 
 def _undeclared(names: frozenset[str], entries: Iterable[tuple[str, str, str]]) -> None:
@@ -344,7 +336,6 @@ class ObjlessCategory:
     # Set on first use with object.__setattr__: a cached property would make CPython 3.11
     # materialise the instance dictionary, after which every attribute read costs about 2x.
     _rows: dict[str, dict[str, str]] | None = field(default=None, compare=False, repr=False)
-    _cols: dict[str, dict[str, str]] | None = field(default=None, compare=False, repr=False)
     _hash: int | None = field(default=None, compare=False, repr=False)
     _inverses: dict[str, str] | None = field(default=None, compare=False, repr=False)
     _tables: dict | None = field(default=None, compare=False, repr=False)  # kept by _search.functor_search
@@ -382,16 +373,11 @@ class ObjlessCategory:
     def rows(self) -> dict[str, dict[str, str]]:
         """``rows[g] = {b: g.b}`` for each morphism ``g``; read only."""
         if self._rows is None:
-            object.__setattr__(self, "_rows", _index(self.morphisms, self.table, self.table.values()))
+            rows: dict[str, dict[str, str]] = {m: {} for m in self.morphisms}
+            for (g, b), gb in self.table.items():
+                rows[g][b] = gb
+            object.__setattr__(self, "_rows", rows)
         return self._rows
-
-    @property
-    def cols(self) -> dict[str, dict[str, str]]:
-        """``cols[b] = {g: g.b}`` for each morphism ``b``; read only."""
-        if self._cols is None:
-            cols = _index(self.morphisms, map(itemgetter(1, 0), self.table), self.table.values())
-            object.__setattr__(self, "_cols", cols)
-        return self._cols
 
     @property
     def inverses(self) -> dict[str, str]:
@@ -498,5 +484,4 @@ class ObjlessCategory:
             flat, n = b"".join(layout[2]), len(layout[0])
             layout = layout[0], layout[1], [flat[j::n] for j in range(n)]
         return ObjlessCategory(morphisms=self.morphisms, table=MappingProxyType(t), identities=self.identities,
-                               dom=self.cod, cod=self.dom, _seal=_SEAL, _rows=self._cols, _cols=self._rows,
-                               _inverses=self._inverses, _layout=layout)
+                               dom=self.cod, cod=self.dom, _seal=_SEAL, _inverses=self._inverses, _layout=layout)

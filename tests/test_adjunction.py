@@ -53,6 +53,16 @@ def test_galois_fixture_passes_standard():
     assert report.literal_ok and report.standard_ok
 
 
+@pytest.mark.parametrize("maps", [fx.galois_maps, fx.perturbed_galois_maps, fx.diamond_galois_maps])
+def test_poset_adjunction_builds_each_poset_category_once(maps):
+    # Both functors, and the identity and composite functors of the unit and
+    # counit, share one category per poset rather than equal copies of it.
+    cand = poset_adjunction(*maps())
+    assert cand.left.target is cand.right.source and cand.left.source is cand.right.target
+    assert cand.unit.source.source is cand.unit.target.source is cand.left.source
+    assert cand.counit.target.source is cand.counit.source.source is cand.right.source
+
+
 def test_galois_oracle_good_fixture():
     p, q, f, g = fx.galois_maps()
     assert galois_oracle(p, q, f, g)

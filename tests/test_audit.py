@@ -322,7 +322,7 @@ def test_byte_passes_decide_exactly_the_laws():
 
 def test_byte_passes_build_no_dict_index():
     # Up to 255 morphisms a valid functor or transformation is decided on the
-    # byte rows alone: neither category builds its dict rows or columns.
+    # byte rows alone: neither category builds its dict rows.
     result = skeleton(fx.finset_dup(), seed=1)
     cat = ObjlessCategory.build(result.retraction.source.morphisms, dict(result.retraction.source.table))
     skel = ObjlessCategory.build(result.skeleton.morphisms, dict(result.skeleton.table))
@@ -334,7 +334,7 @@ def test_byte_passes_build_no_dict_index():
     for check, subject in [(validate_functor, inclusion), (validate_functor, retraction), (validate_nat, witness),
                            (validate_functor, contravariant)]:
         assert check(subject).ok
-    assert [(c._rows, c._cols) for c in (cat, skel, opposite)] == [(None, None)] * 3
+    assert [c._rows for c in (cat, skel, opposite)] == [None] * 3
 
 
 def test_nat_reports_match_reference_across_the_byte_threshold():

@@ -246,3 +246,45 @@ def test_a_search_leaves_no_garbage_cycle(run):
     finally:
         if enabled:
             gc.enable()
+
+
+# Every fixture and seeded random categories of up to 14 morphisms, for the
+# lists of checks the search compiles per category and mode.
+COMPILED = {**fx.fixture_pool(), **{f"random{seed}": gen_random(seed, 14) for seed in range(30)}}
+
+
+@pytest.mark.parametrize("iso", [False, True], ids=["functor", "iso"])
+def test_each_entry_is_checked_at_the_step_that_completes_it(iso):
+    mode = "iso_" if iso else ""
+    for name, cat in COMPILED.items():
+        order, checks = _search._fact(cat, mode + "order"), _search._fact(cat, mode + "checks")
+        assert sorted(order) == sorted(cat.morphisms) and set(order[:len(cat.identities)]) == cat.identities, name
+        assert len(checks) == len(order), name
+        pos = {m: k for k, m in enumerate(order)}
+        exact = sorted((k, entry) for k, (entries, _) in enumerate(checks) for entry in entries)
+        assert exact == sorted((max(pos[p], pos[q], pos[r]), (p, q, r)) for (p, q), r in cat.table.items()), name
+        forward = sorted((k, pair) for k, (_, pairs) in enumerate(checks) for pair in pairs)
+        assert forward == sorted((max(pos[p], pos[q]), (p, q)) for (p, q), r in cat.table.items()
+                                 if iso and max(pos[p], pos[q]) < pos[r]), name
+
+
+BEYOND_ORACLE = {"finset2": to_objectless(gen_finset(2)), "finset2_dup": to_objectless(gen_finset(2, (1,))),
+                 "random3": gen_random(3, 14), "random14": gen_random(14, 12), "random26": gen_random(26, 12),
+                 "random29": gen_random(29, 12), "Z16": _group((16,)), "Z4xZ4": _group((4, 4))}
+RELABELLED_PAIRS = [
+    ("finset2", "finset2"), ("finset2", "finset2_dup"), ("finset2_dup", "finset2"), ("finset2_dup", "finset2_dup"),
+    ("finset2", "Z16"), ("Z16", "Z16"), ("Z4xZ4", "Z4xZ4"), ("Z16", "Z4xZ4"), ("Z4xZ4", "Z16"),
+    ("random3", "random3"), ("random3", "random14"), ("random14", "random3"), ("random14", "random14"),
+    ("random29", "random29"), ("random29", "random26"), ("random3", "finset2"), ("random26", "Z16"),
+]
+
+
+@pytest.mark.parametrize("pair", RELABELLED_PAIRS, ids="-".join)
+def test_relabelling_both_sides_keeps_the_counts(pair):
+    # Beyond the brute oracle's 5 morphisms: a renaming changes the name order
+    # the search visits, not how many functors and isomorphisms there are.
+    a, b = (BEYOND_ORACLE[name] for name in pair)
+    assert all(10 <= len(c) <= 18 for c in (a, b))
+    counts = [(sum(1 for _ in functor_search(x, y)), sum(1 for _ in functor_search(x, y, iso=True)))
+              for x, y in [(a, b), (_relabel(a, "s", 1), _relabel(b, "t", 2)), (_relabel(a, "s", 5), _relabel(b, "t", 6))]]
+    assert counts[0][0] > 0 and counts[1:] == counts[:1] * 2
