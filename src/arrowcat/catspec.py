@@ -179,16 +179,13 @@ class CatspecDocument:
             raise NameNotFoundError(f"no transformation named {name!r}")
         source = self.functor(decl.source)
         target = self.functor(decl.target)
-        components = dict(decl.components)
-        source_cat = self.functors[decl.source].source
-        cat_decl = self.categories.get(source_cat)
-        if isinstance(cat_decl, StandardDecl):
-            # Components of standard-form categories are keyed by object name.
-            components = {
-                cat_decl.std.id_of.get(key, key): value
-                for key, value in components.items()
-            }
-        return NatTransf(source=source, target=target, components=components, name=name)
+        return NatTransf(source=source, target=target, components=self.identity_components(decl), name=name)
+
+    def identity_components(self, decl: NatDecl) -> dict[str, str]:
+        """``decl``'s components keyed by identity: a standard-form source category keys them by object."""
+        cat_decl = self.categories.get(self.functors[decl.source].source)
+        id_of = cat_decl.std.id_of if isinstance(cat_decl, StandardDecl) else {}
+        return {id_of.get(key, key): value for key, value in decl.components.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -707,11 +704,6 @@ def parse(text: str) -> CatspecDocument:
 # Serializer
 
 
-def _is_forced_identity_entry(std: StdCategory, after: str, before: str, result: str) -> bool:
-    ids = set(std.id_of.values())
-    return (before in ids and result == after) or (after in ids and result == before)
-
-
 def serialize(doc: CatspecDocument) -> str:
     """Canonical text: entities sorted by name, arrows and compositions sorted."""
     chunks: list[str] = []
@@ -736,7 +728,7 @@ def serialize(doc: CatspecDocument) -> str:
                 if ident is not None and ident != f"id_{obj}":
                     lines.append(f"  id {obj} = {ident};")
             for (after, before), result in sorted(std.table.items()):
-                if not _is_forced_identity_entry(std, after, before, result):
+                if not ((before in ids and result == after) or (after in ids and result == before)):
                     lines.append(f"  compose: {after} . {before} = {result};")
             lines.append("}")
         chunks.append("\n".join(lines))
@@ -764,10 +756,6 @@ def serialize(doc: CatspecDocument) -> str:
 
 def objless_decl(name: str, cat: ObjlessCategory) -> ObjlessDecl:
     return ObjlessDecl(name=name, morphisms=tuple(cat.morphisms), table=dict(cat.table))
-
-
-def standard_decl(name: str, std: StdCategory) -> StandardDecl:
-    return StandardDecl(name=name, std=std)
 
 
 def functor_decl(name: str, source: str, target: str, f: FunctorMap) -> FunctorDecl:

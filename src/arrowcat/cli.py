@@ -4,7 +4,7 @@ Exit codes: 0 when the queried property holds (or output was produced),
 1 when it fails (invalid category, not equivalent, ...), 2 for usage, parse,
 capacity, and wiring errors.  Structured output (--json) emits one report
 object per invocation on stdout once its arguments are read, failures included;
-diagnostics go to stderr.  Argparse reads only the argv that ``_read_argv`` cannot.
+diagnostics go to stderr.  The full argparse parser reads only the argv ``_read_argv`` cannot.
 
 Only the text layer and the validators load with this module; each command
 that decides something imports its modules when it runs, so a cold
@@ -63,6 +63,13 @@ def _report_payload(report) -> list[dict]:
 def _entity(kind: str, name: str, report) -> dict:
     return {"kind": kind, "name": name, "ok": report.ok,
             "violations": _report_payload(report), "total": report.total}
+
+
+def _verdict(out: _Output, report, **record) -> int:
+    """Record ``report``'s verdict with ``record``, say its lines, and give its exit code."""
+    out.record.update(ok=report.ok, **record)
+    out.lines.extend(report.lines())
+    return OK if report.ok else FAIL
 
 
 def _cmd_check(args, out: _Output) -> int:
@@ -235,11 +242,7 @@ def _cmd_validate(args, out: _Output) -> int:
         report = validate_functor(doc.functor(args.functor))
     else:
         report = validate_nat(doc.nat(args.nat))
-    out.record["ok"] = report.ok
-    out.record["violations"] = _report_payload(report)
-    for line in report.lines():
-        out.say(line)
-    return OK if report.ok else FAIL
+    return _verdict(out, report, violations=_report_payload(report))
 
 
 def _cmd_adjoint_check(args, out: _Output) -> int:
@@ -253,17 +256,9 @@ def _cmd_adjoint_check(args, out: _Output) -> int:
         counit=doc.nat(args.counit),
         mode=args.mode,
     ))
-    out.record["ok"] = report.ok
-    out.record["mode"] = report.mode
-    out.record["paper_literal"] = report.literal_ok
-    out.record["standard"] = report.standard_ok
-    out.record["failures"] = [
-        {"stage": f.stage, "witnesses": list(f.witnesses), "message": f.message}
-        for f in report.failures
-    ]
-    for line in report.lines():
-        out.say(line)
-    return OK if report.ok else FAIL
+    return _verdict(out, report, mode=report.mode, paper_literal=report.literal_ok, standard=report.standard_ok,
+                    failures=[{"stage": f.stage, "witnesses": list(f.witnesses), "message": f.message}
+                              for f in report.failures])
 
 
 def _cmd_limits(args, out: _Output) -> int:
@@ -295,16 +290,9 @@ def _cmd_limits(args, out: _Output) -> int:
     functor = doc.functor(args.functor)
     scope = tuple(args.scope.split(",")) if args.scope else LIMIT_KINDS
     report = preserves_finite_limits(functor, scope)
-    out.record["ok"] = report.ok
-    out.record["scope"] = list(scope)
-    out.record["failures"] = [
-        {"kind": f.kind, "diagram": list(f.diagram), "counterexample": f.counterexample,
-         "message": f.message}
-        for f in report.failures
-    ]
-    for line in report.lines():
-        out.say(line)
-    return OK if report.ok else FAIL
+    return _verdict(out, report, scope=list(scope), failures=[
+        {"kind": f.kind, "diagram": list(f.diagram), "counterexample": f.counterexample, "message": f.message}
+        for f in report.failures])
 
 
 def _cmd_admissible(args, out: _Output) -> int:
@@ -320,38 +308,23 @@ def _cmd_admissible(args, out: _Output) -> int:
         counit=doc.nat(args.counit),
         scope=scope,
     )
-    out.record["ok"] = report.ok
-    out.record["adjunction_ok"] = report.adjunction.ok
-    out.record["limits_ok"] = report.limits.ok
-    for line in report.lines():
-        out.say(line)
-    return OK if report.ok else FAIL
+    return _verdict(out, report, adjunction_ok=report.adjunction.ok, limits_ok=report.limits.ok)
 
 
 def _cmd_convert(args, out: _Output) -> int:
     doc = _read_document(args.file)
     names = [args.cat] if args.cat else sorted(doc.categories)
     converted = CatspecDocument()
-    rekey: dict[str, dict[str, str]] = {}
     for name in names:
-        decl = doc._category_decl(name)
         if args.to == "objectless":
-            cat = doc.objectless(name)
-            converted.categories[name] = catspec.objless_decl(name, cat)
-            if isinstance(decl, catspec.StandardDecl):
-                rekey[name] = dict(decl.std.id_of)
+            converted.categories[name] = catspec.objless_decl(name, doc.objectless(name))
         else:
-            converted.categories[name] = catspec.standard_decl(name, to_standard(doc.objectless(name)))
+            converted.categories[name] = catspec.StandardDecl(name, to_standard(doc.objectless(name)))
     if not args.cat:
         converted.functors = dict(doc.functors)
         for nat_name, decl in doc.nats.items():
-            source_cat = doc.functors[decl.source].source
-            mapping = rekey.get(source_cat)
-            if mapping:
-                decl = catspec.NatDecl(
-                    name=decl.name, source=decl.source, target=decl.target,
-                    components={mapping.get(k, k): v for k, v in decl.components.items()},
-                )
+            if args.to == "objectless":
+                decl = catspec.NatDecl(decl.name, decl.source, decl.target, doc.identity_components(decl))
             converted.nats[nat_name] = decl
     out.catspec(serialize(converted))
     return OK
@@ -373,7 +346,7 @@ def _cmd_generate(args, out: _Output) -> int:
 
     default, build = _GENERATORS[args.kind]
     name = args.name or default.format_map(vars(args))
-    decl = catspec.standard_decl if args.kind == "finset" else catspec.objless_decl
+    decl = catspec.StandardDecl if args.kind == "finset" else catspec.objless_decl
     out.catspec(serialize(CatspecDocument(categories={name: decl(name, build(args, generators))})))
     return OK
 
@@ -427,24 +400,14 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser for ``command`` alone when it names one, else for every command.
-
-    Help, usage and error text are the same either way: the one-command parser
-    still names every command in its usage line.  It keeps argparse's default
-    command metavar otherwise, as an explicit one would rename the command
-    argument in the missing- and unknown-command errors.
-    """
-    one = command in _COMMANDS
+def build_parser() -> argparse.ArgumentParser:
+    """The parser for every command; ``main`` uses it for the argv ``_read_argv`` cannot read."""
     parser = argparse.ArgumentParser(
         prog="arrowcat",
         description="Finite arrow-only categories: validation, skeletons, equivalence, adjunctions.",
     )
-    sub = parser.add_subparsers(
-        dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}" if one else None)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_line, arguments) in _COMMANDS.items():
-        if one and name != command:
-            continue
         p = sub.add_parser(name, help=help_line)
         for argument in (_JSON, *arguments):
             flags, kwargs = argument() if callable(argument) else argument
@@ -495,7 +458,7 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _read_argv(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
+        args = _read_argv(argv) or build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     out = _Output(args.command, args.json)

@@ -77,13 +77,9 @@ def check_cap(cap: int, *sized: Sized) -> None:
         check_count(len(item), cap)
 
 
-def is_wellformed_name(name: str) -> bool:
-    return bool(_NAME_RE.match(name))
-
-
 def check_names(names: Iterable[str]) -> None:
     for name in names:
-        if not is_wellformed_name(name):
+        if not _NAME_RE.match(name):
             raise MalformedNameError(f"malformed name: {name!r}")
 
 

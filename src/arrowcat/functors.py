@@ -101,20 +101,27 @@ def _composition_holds(src: ObjlessCategory, dst: ObjlessCategory, image: Callab
     return b"".join(got) == b"".join(rows).translate(table)
 
 
+def _coverage(keys: frozenset[str], mapping: Mapping[str, str], values: frozenset[str],
+              missing: str, stray: str, unknown_value: str) -> list[tuple]:
+    """Witnesses of the ``keys`` that ``mapping`` misses (TOTALITY), its other keys (TYPING) and its values
+    not in ``values`` (NAME_NOT_FOUND), each made by its template; [] when there are none."""
+    mismatched = keys.symmetric_difference(mapping)
+    unknown = set(mapping.values()).difference(values)
+    if not (mismatched or unknown):
+        return []
+    return ([(format_violation, TOTALITY, (key,), missing, key) for key in sorted(mismatched & keys)]
+            + [(format_violation, TYPING, (key,), stray, key) for key in sorted(mismatched - keys)]
+            + [(format_violation, NAME_NOT_FOUND, (key, value), unknown_value, key, value)
+               for key, value in sorted(item for item in mapping.items() if item[1] in unknown)])
+
+
 def validate_functor(f: FunctorMap) -> ValidationReport:
     """Totality, identity preservation, and the variance-appropriate composition law."""
     src, dst, mapping = f.source, f.target, f.mapping
-    mismatched = src.morphisms.symmetric_difference(mapping)
-    unknown = set(mapping.values()).difference(dst.morphisms)
-    if mismatched or unknown:
-        return ValidationReport.from_witnesses(
-            [(format_violation, TOTALITY, (m,), "morphism {} of the source is not mapped", m)
-             for m in sorted(mismatched & src.morphisms)]
-            + [(format_violation, TYPING, (key,), "map key {} is not a morphism of the source", key)
-               for key in sorted(mismatched - src.morphisms)]
-            + [(format_violation, NAME_NOT_FOUND, (key, value), "{} maps to unknown morphism {}", key, value)
-               for key, value in sorted(item for item in mapping.items() if item[1] in unknown)]
-        )
+    uncovered = _coverage(src.morphisms, mapping, dst.morphisms, "morphism {} of the source is not mapped",
+                          "map key {} is not a morphism of the source", "{} maps to unknown morphism {}")
+    if uncovered:
+        return ValidationReport.from_witnesses(uncovered)
 
     image = mapping.copy().__getitem__  # a dict lookup, faster than through the proxy
     found = [
@@ -229,17 +236,11 @@ def validate_nat(nat: NatTransf) -> ValidationReport:
             raise WiringError(
                 f"{functor.name} is not a functor: morphism {min(unmapped)} of the source is not mapped")
 
-    mismatched = src.identities.symmetric_difference(comps)
-    unknown = set(comps.values()).difference(dst.morphisms)
-    if mismatched or unknown:
-        return ValidationReport.from_witnesses(
-            [(format_violation, TOTALITY, (ident,), "no component at identity {}", ident)
-             for ident in sorted(mismatched & src.identities)]
-            + [(format_violation, TYPING, (key,), "component key {} is not an identity of the source", key)
-               for key in sorted(mismatched - src.identities)]
-            + [(format_violation, NAME_NOT_FOUND, (key, value), "component at {} names unknown morphism {}", key, value)
-               for key, value in sorted(item for item in comps.items() if item[1] in unknown)]
-        )
+    uncovered = _coverage(src.identities, comps, dst.morphisms, "no component at identity {}",
+                          "component key {} is not an identity of the source",
+                          "component at {} names unknown morphism {}")
+    if uncovered:
+        return ValidationReport.from_witnesses(uncovered)
 
     fmap, gmap = f.mapping, g.mapping
     mistyped = [

@@ -146,6 +146,40 @@ def test_wiring_error_before_law_checks():
         check_adjunction(cand)
 
 
+def _miswired(part: str, end: str) -> AdjunctionCandidate:
+    """The identity candidate on the two-chain with the ``end`` functor of ``part`` made constant."""
+    cand = identity_candidate(fx.two_chain())
+    cat = cand.left.source
+    const = functors.FunctorMap(source=cat, target=cat, mapping=dict.fromkeys(cat.morphisms, "i0"))
+    return dataclasses.replace(cand, **{part: dataclasses.replace(getattr(cand, part), **{end: const})})
+
+
+def _contravariant_left() -> AdjunctionCandidate:
+    cand = identity_candidate(fx.two_chain())
+    return dataclasses.replace(cand, left=dataclasses.replace(cand.left, variance="contravariant"))
+
+
+@pytest.mark.parametrize("candidate, message", [
+    (_contravariant_left, "adjunction requires covariant functors"),
+    (lambda: dataclasses.replace(identity_candidate(fx.two_chain()), right=functor_identity(fx.z2())),
+     "adjoints are not wired F: D -> C, G: C -> D"),
+    (lambda: _miswired("unit", "source"), "unit does not start at the identity functor on D"),
+    (lambda: _miswired("unit", "target"), "unit does not end at G.F"),
+    (lambda: _miswired("counit", "source"), "counit does not start at F.G"),
+    (lambda: _miswired("counit", "target"), "counit does not end at the identity functor on C"),
+], ids=["contravariant", "unwired", "unit-source", "unit-target", "counit-source", "counit-target"])
+def test_each_wiring_error_names_its_fault(candidate, message):
+    with pytest.raises(WiringError) as exc:
+        check_adjunction(candidate())
+    assert str(exc.value) == message
+
+
+def test_unknown_mode_raises():
+    cand = dataclasses.replace(identity_candidate(fx.two_chain()), mode="sideways")
+    with pytest.raises(ValueError, match=r"^unknown mode 'sideways'$"):
+        check_adjunction(cand)
+
+
 def test_paper_literal_weaker_than_standard():
     """A unit/counit pair that is natural but breaks the triangles: swap the
     self-inverse flip into the z2 unit."""

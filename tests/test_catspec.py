@@ -18,14 +18,14 @@ from arrowcat.catspec import (
     nat_decl,
     objless_decl,
     parse,
+    StandardDecl,
     serialize,
-    standard_decl,
 )
 from arrowcat.cli import main
 from arrowcat.core import validate_objectless
 from arrowcat.equivalence import identity_nat
 from arrowcat.errors import CapacityError, GeneratorError, InvalidCategoryError
-from arrowcat.functors import functor_identity
+from arrowcat.functors import functor_identity, validate_nat
 from arrowcat.generators import (
     Poset,
     gen_cyclic,
@@ -127,6 +127,44 @@ def test_contravariant_keyword_both_spellings():
         assert doc.functors["F"].variance == "contravariant"
 
 
+def test_standard_nat_components_are_read_by_identity():
+    doc = parse((FIXTURES / "standard_nat.cat").read_text(encoding="utf-8"))
+    assert doc.nats["collapse"].components == {"A": "f", "B": "oneB"}
+    nat = doc.nat("collapse")
+    assert nat.components == {"id_A": "f", "oneB": "oneB"}
+    assert validate_nat(nat).ok
+
+
+# One source per parser diagnostic that neither the malformed corpus nor the
+# golden mutations reach, with every diagnostic it gives.
+DECLARATION_DIAGNOSTICS = {
+    "duplicate-arrow": ("category C {\n  objects: A;\n  arrow f: A -> A;\n  arrow f: A -> A;\n}\n",
+                        ["4:9: duplicate-name: duplicate arrow 'f'"]),
+    "duplicate-arrow-token-path": ("category C {\n  objects: A;\n  arrow f: A -> A;\n  arrow f: A # again\n    -> A;\n}\n",
+                                   ["4:9: duplicate-name: duplicate arrow 'f'"]),
+    "two-identities": ("category C {\n  objects: A;\n  id A = e;\n  id A = u;\n}\n",
+                       ["4:6: duplicate-name: object 'A' has two identity declarations"]),
+    "identity-name-taken": ("category C {\n  objects: A;\n  arrow f: A -> A;\n  id A = f;\n}\n",
+                            ["4:10: duplicate-name: identity name 'f' already declared"]),
+    "auto-identity-collides": ("category C {\n  objects: A;\n  arrow id_A: A -> A;\n}\n",
+                               ["2:12: duplicate-name: auto identity name 'id_A' collides with a declared arrow; "
+                                "use 'id A = ...;'"]),
+    "identity-of-undeclared-object": ("category C {\n  objects: A;\n  id B = e;\n}\n",
+                                      ["3:10: unknown-name: arrow 'e' references undeclared object 'B'"] * 2
+                                      + ["1:10: unknown-name: identity declared for undeclared object 'B'"]),
+    "bracketed-variance": ("objless A {\n  arrows: x;\n  compose: x . x = x;\n}\n"
+                           "functor F: A -> A [x] {\n  map x -> x;\n}\n",
+                           ["5:20: syntax: expected 'contravariant', found 'x'"]),
+}
+
+
+@pytest.mark.parametrize("text, want", DECLARATION_DIAGNOSTICS.values(), ids=DECLARATION_DIAGNOSTICS)
+def test_declaration_diagnostics(text, want):
+    with pytest.raises(CatspecError) as exc:
+        parse(text)
+    assert [str(diagnostic) for diagnostic in exc.value.diagnostics] == want
+
+
 def test_parse_never_partially_succeeds():
     text = "objless Good {\n  arrows: x;\n  compose: x . x = x;\n}\nobjless Bad {\n  arrows: 9z;\n}\n"
     with pytest.raises(CatspecError):
@@ -144,7 +182,7 @@ def test_fixture_files_parse_and_roundtrip(fixture):
 def test_roundtrip_programmatic_document():
     doc = CatspecDocument()
     doc.categories["Z2"] = objless_decl("Z2", fx.z2())
-    doc.categories["F2"] = standard_decl("F2", gen_finset(2))
+    doc.categories["F2"] = StandardDecl("F2", gen_finset(2))
     doc.functors["IdZ2"] = functor_decl("IdZ2", "Z2", "Z2", functor_identity(fx.z2()))
     assert parse(serialize(doc)) == doc
 

@@ -83,6 +83,11 @@ def test_identities_and_homs(capsys):
     assert code == 0 and "i0 -> i1: a" in out
 
 
+def test_homs_src_without_dst_is_a_usage_error(capsys):
+    assert run(capsys, "homs", str(FIXTURES / "twochain.cat"), "--cat", "TwoChain", "--src", "i0") == \
+        (2, "", "--src and --dst must be given together\n")
+
+
 def test_skeleton_emits_checkable_witness(capsys, tmp_path):
     code, out, _ = run(capsys, "skeleton", str(FIXTURES / "finsetdup.cat"),
                        "--cat", "FinSetDup", "--seed", "1")
@@ -281,6 +286,60 @@ def test_convert_round_trip(capsys, tmp_path):
     assert arrow_map == {name: name for name in std_before.arrows}
 
 
+STANDARD_NAT_FUNCTORS = """functor Id: Arrow -> Arrow {
+  map f -> f;
+  map id_A -> id_A;
+  map oneB -> oneB;
+}
+
+functor ToB: Arrow -> Arrow {
+  map f -> oneB;
+  map id_A -> oneB;
+  map oneB -> oneB;
+}
+"""
+# The object-keyed components of standard_nat.cat are keyed by identity in
+# objectless form.  Standard form names each object by its identity but keeps
+# the components as written, so that output does not parse again.
+CONVERTED_STANDARD_NAT = {
+    "objectless": """objless Arrow {
+  arrows: f, id_A, oneB;
+  compose: f . id_A = f;
+  compose: id_A . id_A = id_A;
+  compose: oneB . f = f;
+  compose: oneB . oneB = oneB;
+}
+
+""" + STANDARD_NAT_FUNCTORS + """
+nat collapse: Id => ToB {
+  component id_A: f;
+  component oneB: oneB;
+}
+""",
+    "standard": """category Arrow {
+  objects: id_A, oneB;
+  arrow f: id_A -> oneB;
+  id id_A = id_A;
+  id oneB = oneB;
+}
+
+""" + STANDARD_NAT_FUNCTORS + """
+nat collapse: Id => ToB {
+  component A: f;
+  component B: oneB;
+}
+""",
+}
+
+
+@pytest.mark.parametrize("to", list(CONVERTED_STANDARD_NAT))
+def test_convert_keys_the_components_of_a_standard_nat(capsys, to):
+    path, want = str(FIXTURES / "standard_nat.cat"), CONVERTED_STANDARD_NAT[to]
+    assert run(capsys, "convert", path, "--to", to) == (0, want, "")
+    record = {"catspec": want, "command": "convert", "exit": 0, "ok": True}
+    assert run(capsys, "convert", path, "--to", to, "--json") == (0, json.dumps(record, sort_keys=True) + "\n", "")
+
+
 def test_generate_finset_matches_fixture(capsys, tmp_path):
     code, out, _ = run(capsys, "generate", "finset", "--max-size", "2", "--dup", "1",
                        "--name", "FinSetDup")
@@ -305,7 +364,7 @@ def test_generate_other_kinds(capsys):
 def test_generate_prints_the_generators_category_under_its_default_name(capsys):
     chain = gen_poset(Poset.chain(["c0", "c1", "c2"]))
     cases = [
-        (["finset"], "FinSet", catspec.standard_decl, gen_finset(2)),
+        (["finset"], "FinSet", catspec.StandardDecl, gen_finset(2)),
         (["discrete", "--n", "3"], "Discrete3", catspec.objless_decl, gen_discrete(3)),
         (["walking-iso"], "WalkingIso", catspec.objless_decl, gen_walking_iso()),
         (["chain", "--n", "3"], "Chain3", catspec.objless_decl, chain),

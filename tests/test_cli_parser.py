@@ -1,8 +1,8 @@
-"""``main``'s plain-argv reader and one-command parser against the full parser.
+"""``main``'s plain-argv reader against the full parser.
 
 For every command and for the top level, ``main`` must give the same exit
-code, stdout and stderr as with the reader off and the full ``build_parser()``,
-and the same parsed ``Namespace``.
+code, stdout and stderr as with the reader off, so that ``build_parser()``
+reads every argv, and the same parsed ``Namespace``.
 """
 from __future__ import annotations
 
@@ -97,11 +97,10 @@ def test_main_matches_the_full_parser(argv, capsys, monkeypatch):
 def test_namespace_matches_the_full_parser(command):
     argv = VALID[command]
     full = cli.build_parser().parse_args(argv)
-    assert cli.build_parser(command).parse_args(argv) == full
     assert cli._read_argv(argv) == full
 
 
-def test_one_command_builds_one_subparser(monkeypatch, capsys):
+def test_plain_argv_builds_no_subparser(monkeypatch, capsys):
     made = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -113,7 +112,7 @@ def test_one_command_builds_one_subparser(monkeypatch, capsys):
     assert _run(capsys, VALID["check"])[0] == 0
     assert made == []
     assert _run(capsys, VALID["check"] + ["--bogus"])[0] == 2
-    assert made == ["check"]
+    assert made == list(cli._COMMANDS)
     made.clear()
     assert _run(capsys, ["-h"])[0] == 0
     assert made == list(cli._COMMANDS)

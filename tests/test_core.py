@@ -120,6 +120,18 @@ def test_undeclared_name_raises():
         validate_objectless(["e"], {("e", "ghost"): "e"})
 
 
+def test_triples_naming_an_undeclared_morphism_raise():
+    with pytest.raises(NameNotFoundError, match=r"^table references undeclared morphism 'q'$"):
+        ObjlessCategory.build(["e"], [("e", "e", "e"), ("e", "q", "e")])
+
+
+def test_a_table_past_the_byte_codes_naming_an_undeclared_morphism_raises():
+    names = [f"m{i}" for i in range(256)]
+    table = {(m, m): m for m in names} | {("m0", "zz"): "m0"}
+    with pytest.raises(NameNotFoundError, match=r"^table references undeclared morphism 'zz'$"):
+        ObjlessCategory.build(names, table)
+
+
 def test_malformed_name_raises():
     with pytest.raises(MalformedNameError):
         validate_objectless(["1e"], {("1e", "1e"): "1e"})

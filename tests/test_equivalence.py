@@ -58,6 +58,11 @@ def test_is_isomorphism_identity_and_flip():
     assert is_isomorphism(fx.two_chain(), "a") is None
 
 
+def test_is_isomorphism_of_an_unknown_morphism_raises():
+    with pytest.raises(NameNotFoundError, match=r"^unknown morphism 'nope'$"):
+        is_isomorphism(fx.z2(), "nope")
+
+
 def _check_inverses(cat):
     for f in cat.morphisms:
         inverses = brute_inverses(cat, f)

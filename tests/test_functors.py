@@ -13,6 +13,7 @@ from arrowcat.functors import (
     functor_compose,
     functor_dom,
     functor_identity,
+    identity_nat,
     validate_functor,
     validate_nat,
 )
@@ -37,6 +38,33 @@ def test_identity_functor_is_valid():
 
 def test_collapse_functor_is_valid():
     assert validate_functor(collapse_functor()).ok
+
+
+def test_unknown_variance_raises():
+    with pytest.raises(ValueError, match=r"^unknown variance 'sideways'$"):
+        FunctorMap(source=fx.z2(), target=fx.z2(), mapping={"e": "e", "s": "s"}, variance="sideways")
+
+
+def test_functor_applies_its_mapping():
+    f = collapse_functor()
+    assert [f(m) for m in sorted(f.source.morphisms)] == [f.mapping[m] for m in sorted(f.source.morphisms)]
+    assert f("a") == "s"
+
+
+# Equal values (the name is metadata) hash equal and collapse into one set element.
+EQUAL_VALUES = {
+    "functor": lambda name: functor_identity(fx.two_chain(), name=name),
+    "nat": lambda name: identity_nat(functor_identity(fx.two_chain()), name=name),
+    "standard": lambda name: fx.two_chain_std(),
+}
+
+
+@pytest.mark.parametrize("make", EQUAL_VALUES.values(), ids=EQUAL_VALUES)
+def test_equal_values_hash_equal(make):
+    first, second = make("first"), make("second")
+    assert first is not second and first == second
+    assert hash(first) == hash(second)
+    assert len({first, second}) == 1
 
 
 def test_identity_to_nonidentity_rejected():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from arrowcat.equivalence import is_isomorphism
-from arrowcat.errors import InapplicableScopeError, NotAnIdentityError
+from arrowcat.errors import InapplicableScopeError, NotAnIdentityError, WiringError
 from arrowcat.functors import FunctorMap, functor_compose, functor_identity
 from arrowcat.generators import Poset, gen_discrete, gen_finset, gen_poset, gen_random
 from arrowcat.limits import (
@@ -113,6 +113,18 @@ def test_identity_preserves_all_scoped_limits():
     assert preserves_finite_limits(functor_identity(tc)).ok
     f2 = fx.finset2()
     assert preserves_finite_limits(functor_identity(f2), ("terminal", "equalizers")).ok
+
+
+def test_preservation_of_a_contravariant_functor_raises():
+    cat = fx.two_chain()
+    f = FunctorMap(source=cat, target=cat, mapping={m: m for m in cat.morphisms}, variance="contravariant")
+    with pytest.raises(WiringError, match=r"^limit preservation applies to covariant functors$"):
+        preserves_finite_limits(f)
+
+
+def test_an_unknown_limit_kind_raises():
+    with pytest.raises(ValueError, match=r"^unknown limit kinds: \['coproducts'\]$"):
+        preserves_finite_limits(functor_identity(fx.two_chain()), ("terminal", "coproducts"))
 
 
 def test_finset2_products_scope_is_inapplicable():

@@ -141,6 +141,15 @@ def test_identity_of_unknown_object_reported():
         to_objectless(std)
 
 
+def test_identity_naming_an_unknown_arrow_reported():
+    std = StdCategory.make(objects=["A"], arrows={"f": ("A", "A")}, table={("f", "f"): "f"}, id_of={"A": "u"})
+    report = validate_standard(std)
+    assert [(v.kind, v.witnesses, v.message) for v in report.violations] == [
+        ("name-not-found", ("u",), "identity of A names unknown arrow u")]
+    with pytest.raises(InvalidCategoryError):
+        to_objectless(std)
+
+
 def test_validate_standard_capacity():
     names = [f"x{i}" for i in range(MAX_MORPHISMS + 1)]
     std = StdCategory.make(["A"], {m: ("A", "A") for m in names}, {}, {"A": "x0"})
