@@ -590,7 +590,7 @@ class _Parser:
                     arrows[auto] = (obj, obj)
         for arrow, (dom, cod) in sorted(arrows.items()):
             offset = arrow_offsets.get(arrow, name_offset)
-            for obj in (dom, cod):
+            for obj in dict.fromkeys((dom, cod)):
                 if obj not in objects:
                     self.error(UNKNOWN_NAME, f"arrow {arrow!r} references undeclared object {obj!r}", offset)
         for obj in declared_ids:

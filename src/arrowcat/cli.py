@@ -322,10 +322,9 @@ def _cmd_convert(args, out: _Output) -> int:
             converted.categories[name] = catspec.StandardDecl(name, to_standard(doc.objectless(name)))
     if not args.cat:
         converted.functors = dict(doc.functors)
-        for nat_name, decl in doc.nats.items():
-            if args.to == "objectless":
-                decl = catspec.NatDecl(decl.name, decl.source, decl.target, doc.identity_components(decl))
-            converted.nats[nat_name] = decl
+        # Both forms key components by identity: to_standard names each object after its identity.
+        converted.nats = {nat_name: catspec.NatDecl(decl.name, decl.source, decl.target, doc.identity_components(decl))
+                          for nat_name, decl in doc.nats.items()}
     out.catspec(serialize(converted))
     return OK
 

@@ -379,14 +379,9 @@ class ObjlessCategory:
     def inverses(self) -> dict[str, str]:
         """``inverses[f] = g`` for each invertible ``f``: ``f.g = cod f`` and ``g.f = dom f``; read only."""
         if self._inverses is None:
-            rows, dom, cod, inverses = self.rows, self.dom, self.cod, {}
-            for f, row in rows.items():
-                for g, fg in row.items():
-                    if fg == cod[f]:  # the only such g if f is invertible; then it is the inverse
-                        if rows[g].get(f) == dom[f]:
-                            inverses[f] = g
-                        break
-            object.__setattr__(self, "_inverses", inverses)
+            table, dom, cod = self.table, self.dom, self.cod
+            object.__setattr__(self, "_inverses", {f: g for (f, g), fg in table.items()
+                                                   if fg == cod[f] and table.get((g, f)) == dom[f]})
         return self._inverses
 
     def __len__(self) -> int:

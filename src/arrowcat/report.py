@@ -54,9 +54,6 @@ class ValidationReport:
         total = len(found) if total is None else total
         return cls(ok=not total, violations=shown, total=total)
 
-    def kinds(self) -> set[str]:
-        return {v.kind for v in self.violations}
-
     def lines(self) -> list[str]:
         if self.ok:
             return ["ok"]

@@ -5,14 +5,17 @@ category to arrow-only form forgets the object names (identity arrows take
 their place), and converting back reads every object off its identity.
 
 Validation is split the same way: this module checks only what the
-presentation adds and hands the axioms to the arrow-only kernel.
+presentation adds and hands the axioms to the arrow-only kernel.  Each check
+finds its faults in C-level passes (set inclusion, aligned lists of typings, a
+count of the composable pairs, two lists of identity composites); only the
+failing entries are sorted, and only the violations a report shows are formatted.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
-from operator import itemgetter, mul
+from itertools import compress, repeat
+from operator import eq, itemgetter, mul, ne
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -25,8 +28,7 @@ from .report import (
     TOTALITY,
     TYPING,
     ValidationReport,
-    Violation,
-    violation,
+    format_violation,
 )
 
 
@@ -66,136 +68,99 @@ class StdCategory:
         ))
 
 
-def _presentation_holds(cat: StdCategory) -> bool:
-    """The presentation's checks in one pass of C-level maps, with no report.  Typing
-    is two list comparisons.  A table of composable pairs is total exactly when it has
-    ``sum(in(B) * out(B))`` entries; then neutrality is two list comparisons too."""
-    arrows, table, id_of = cat.arrows, cat.table, cat.id_of
-    doms = list(map(itemgetter(0), arrows.values()))
-    cods = list(map(itemgetter(1), arrows.values()))
-    if not (cat.objects.issuperset(doms) and cat.objects.issuperset(cods) and id_of.keys() == cat.objects):
-        return False
-    typed_after, typed_before = (list(map(arrows.get, map(itemgetter(k), table))) for k in (0, 1))
-    if None in typed_after or None in typed_before:
-        return False
-    outs, ins = Counter(doms), Counter(cods)
-    names = list(arrows)
-    return (
-        list(map(itemgetter(1), typed_before)) == list(map(itemgetter(0), typed_after))
-        and list(map(arrows.get, table.values()))
-        == list(zip(map(itemgetter(0), typed_before), map(itemgetter(1), typed_after)))
-        and len(table) == sum(map(mul, map(ins.__getitem__, outs), outs.values()))
-        and list(map(arrows.get, id_of.values())) == list(zip(id_of, id_of))
-        and list(map(table.get, zip(arrows, map(id_of.__getitem__, doms)))) == names
-        and list(map(table.get, zip(map(id_of.__getitem__, cods), arrows))) == names
-    )
+_UNKNOWN = (object(), object())  # the typing of an unknown arrow: no entry with one is composable
 
 
-def _presentation_violations(cat: StdCategory) -> list[Violation]:
-    """What the presentation adds to the axioms: names, typing of table entries,
-    totality on composable pairs, declared identities typed ``B -> B`` and neutral.
-    The sorted walk that reports them runs only when the one-pass check fails."""
+def _presentation_violations(cat: StdCategory) -> list[tuple]:
+    """What the presentation adds to the axioms, as ``(make, *args)`` witnesses in report
+    order: unknown objects and arrows, typing of table entries, totality on composable
+    pairs, declared identities typed ``B -> B`` and neutral.  Each check finds its faults
+    in C-level passes; only the failing entries and objects are sorted and walked."""
     check_names(cat.objects)
     check_names(cat.arrows)
     check_cap(MAX_MORPHISMS, cat.arrows)
-    if _presentation_holds(cat):
-        return []
-    arrows = cat.arrows
-    violations = []
+    # Dict lookups: faster than through the read-only proxies.
+    objects, arrows, table, id_of = cat.objects, cat.arrows.copy(), cat.table, cat.id_of.copy()
+    doms, cods = list(map(itemgetter(0), arrows.values())), list(map(itemgetter(1), arrows.values()))
+    found = []
+    if not (objects.issuperset(doms) and objects.issuperset(cods)):
+        found += [(format_violation, NAME_NOT_FOUND, (name, obj), "arrow {} references unknown object {}", name, obj)
+                  for name, pair in sorted(arrows.items()) for obj in dict.fromkeys(pair) if obj not in objects]
 
-    for name, (dom, cod) in sorted(arrows.items()):
-        for obj in (dom, cod):
-            if obj not in cat.objects:
-                violations.append(violation(
-                    NAME_NOT_FOUND, (name, obj), f"arrow {name} references unknown object {obj}",
-                ))
+    # Table entries must be composable pairs, cod(before) = dom(after), with results typed
+    # dom(before) -> cod(after): two pairs of aligned lists, which an unknown arrow fails.
+    after_t, before_t = (list(map(arrows.get, map(itemgetter(k), table), repeat(_UNKNOWN))) for k in (0, 1))
+    joints = list(map(itemgetter(1), before_t)), list(map(itemgetter(0), after_t))
+    spans = zip(map(itemgetter(0), before_t), map(itemgetter(1), after_t))
+    results = list(map(arrows.get, table.values())), list(spans)
+    composable = len(table)
+    if joints[0] != joints[1] or results[0] != results[1]:
+        composable = sum(map(eq, *joints))
+        failing = sorted(compress(table.items(), map(ne, zip(joints[0], results[0]), zip(joints[1], results[1]))))
+        found += [(format_violation, NAME_NOT_FOUND, (name,), "table references unknown arrow {}", name)
+                  for name in sorted({part for key, result in failing for part in (*key, result)} - arrows.keys())]
+        for (after, before), result in failing:
+            ta, tb, tr = arrows.get(after), arrows.get(before), arrows.get(result)
+            if not (ta and tb and tr):
+                continue
+            found.append((format_violation, TYPING, (after, before), "{}.{} defined but cod({}) != dom({})",
+                          after, before, before, after) if tb[1] != ta[0] else
+                         (format_violation, TYPING, (after, before, result),
+                          "composite {} of {}.{} is not typed {} -> {}", result, after, before, tb[0], ta[1]))
 
-    unknown = set()
-    for (after, before), result in cat.table.items():
-        unknown.update(part for part in (after, before, result) if part not in arrows)
-    for name in sorted(unknown):
-        violations.append(violation(
-            NAME_NOT_FOUND, (name,), f"table references unknown arrow {name}",
-        ))
+    # Composition must be total on composable pairs: there are sum(in(B) * out(B)) of them.
+    outs, ins = Counter(doms), Counter(cods)
+    if composable != sum(map(mul, map(ins.__getitem__, outs), outs.values())):
+        out_of = {}
+        for name, dom in zip(arrows, doms):
+            out_of.setdefault(dom, []).append(name)
+        found += [(format_violation, TOTALITY, pair, "composition not defined on composable pair ({}, {})", *pair)
+                  for pair in sorted((after, before) for before, cod in zip(arrows, cods)
+                                     for after in out_of.get(cod, ()) if (after, before) not in table)]
 
-    # Table entries must be composable pairs with well-typed results.
-    for (after, before), result in sorted(cat.table.items()):
-        ta, tb, tr = arrows.get(after), arrows.get(before), arrows.get(result)
-        if ta is None or tb is None or tr is None:
-            continue
-        if tb[1] != ta[0]:
-            violations.append(violation(
-                TYPING, (after, before), f"{after}.{before} defined but cod({before}) != dom({after})",
-            ))
-        elif tr != (tb[0], ta[1]):
-            violations.append(violation(
-                TYPING, (after, before, result),
-                f"composite {result} of {after}.{before} is not typed {tb[0]} -> {ta[1]}",
-            ))
-
-    # Composition must be total on composable pairs.
-    for after, before in product(sorted(arrows), repeat=2):
-        if arrows[before][1] == arrows[after][0] and (after, before) not in cat.table:
-            violations.append(violation(
-                TOTALITY, (after, before),
-                f"composition not defined on composable pair ({after}, {before})",
-            ))
-
-    # Identity arrows: declared for known objects, present, typed B -> B,
-    # neutral wherever composed.
-    for obj in sorted(set(cat.id_of) - cat.objects):
-        violations.append(violation(
-            NAME_NOT_FOUND, (obj,), f"identity declared for unknown object {obj}",
-        ))
-    for obj in sorted(cat.objects):
-        ident = cat.id_of.get(obj)
+    # Identity arrows: declared for known objects, present, typed B -> B, neutral wherever
+    # composed.  Only the objects that fail one of these, or whose identity composes with
+    # some arrow to another arrow, are walked.
+    found += [(format_violation, NAME_NOT_FOUND, (obj,), "identity declared for unknown object {}", obj)
+              for obj in sorted(id_of.keys() - objects)]
+    walk = set(objects.difference(id_of))
+    walk.update(compress(id_of, map(ne, map(arrows.get, id_of.values()), zip(id_of, id_of))))
+    walk.update(compress(doms, map(ne, map(table.get, zip(arrows, map(id_of.get, doms))), arrows)))
+    walk.update(compress(cods, map(ne, map(table.get, zip(map(id_of.get, cods), arrows)), arrows)))
+    ordered = sorted(arrows.items()) if walk else ()
+    for obj in sorted(walk.intersection(objects)):
+        ident = id_of.get(obj)
         if ident is None:
-            violations.append(violation(
-                IDENTITY_MISSING, (obj,), f"object {obj} has no identity arrow",
-            ))
-            continue
-        t = arrows.get(ident)
-        if t is None:
-            violations.append(violation(
-                NAME_NOT_FOUND, (ident,), f"identity of {obj} names unknown arrow {ident}",
-            ))
-            continue
-        if t != (obj, obj):
-            violations.append(violation(
-                TYPING, (ident, obj), f"identity arrow {ident} of {obj} is not typed {obj} -> {obj}",
-            ))
-            continue
-        for name, (dom, cod) in sorted(arrows.items()):
-            if dom == obj:
-                got = cat.table.get((name, ident))
-                if got is not None and got != name:
-                    violations.append(violation(
-                        IDENTITY_NONNEUTRAL, (ident, name), f"{name}.{ident} = {got}, expected {name}",
-                    ))
-            if cod == obj:
-                got = cat.table.get((ident, name))
-                if got is not None and got != name:
-                    violations.append(violation(
-                        IDENTITY_NONNEUTRAL, (ident, name), f"{ident}.{name} = {got}, expected {name}",
-                    ))
-
-    return violations
+            found.append((format_violation, IDENTITY_MISSING, (obj,), "object {} has no identity arrow", obj))
+        elif ident not in arrows:
+            found.append((format_violation, NAME_NOT_FOUND, (ident,), "identity of {} names unknown arrow {}",
+                          obj, ident))
+        elif arrows[ident] != (obj, obj):
+            found.append((format_violation, TYPING, (ident, obj), "identity arrow {} of {} is not typed {} -> {}",
+                          ident, obj, obj, obj))
+        else:
+            for name, (dom, cod) in ordered:
+                for side, composite in ((dom, (name, ident)), (cod, (ident, name))):
+                    if side == obj and table.get(composite, name) != name:
+                        found.append((format_violation, IDENTITY_NONNEUTRAL, (ident, name), "{}.{} = {}, expected {}",
+                                      *composite, table[composite], name))
+    return found
 
 
 def validate_standard(cat: StdCategory) -> ValidationReport:
     """The report of :func:`to_objectless`: the presentation's violations, or, once
     there are none, the kernel's report on the axioms.  CapacityError above the cap."""
-    violations = _presentation_violations(cat)
-    if violations:
-        return ValidationReport.from_violations(violations)
+    found = _presentation_violations(cat)
+    if found:
+        return ValidationReport.from_witnesses(found)
     return validate_objectless(cat.arrows, cat.table)
 
 
 def to_objectless(cat: StdCategory) -> ObjlessCategory:
     """Forget the objects: morphisms and table carry over unchanged."""
-    violations = _presentation_violations(cat)
-    if violations:
-        raise InvalidCategoryError(ValidationReport.from_violations(violations))
+    found = _presentation_violations(cat)
+    if found:
+        raise InvalidCategoryError(ValidationReport.from_witnesses(found))
     result = ObjlessCategory.build(cat.arrows.keys(), cat.table)
     # On typed, total data with neutral declared identities, the kernel
     # infers exactly the declared identities; anything else is a bug.

@@ -16,13 +16,16 @@ from arrowcat.core import (
     ObjlessCategory,
     TableLike,
     _entries,
+    check_cap,
     check_names,
     neutral_morphisms,
+    validate_objectless,
 )
 from arrowcat.errors import CapacityError, NameNotFoundError, WiringError
 from arrowcat.functors import FunctorMap, validate_functor
 from arrowcat.generators import Poset, gen_random, poset_arrow
 from arrowcat.equivalence import NatTransf
+from arrowcat.standard import StdCategory
 from arrowcat.report import (
     ASSOCIATIVITY_EQUAL,
     ASSOCIATIVITY_EXISTENCE,
@@ -30,6 +33,7 @@ from arrowcat.report import (
     FUNCTIONALITY,
     IDENTITY_LAW,
     IDENTITY_MISSING,
+    IDENTITY_NONNEUTRAL,
     IDENTITY_NONUNIQUE,
     NAME_NOT_FOUND,
     NATURALITY,
@@ -412,6 +416,98 @@ def reference_validate_nat(nat: NatTransf) -> ValidationReport:
                 f"square at {m} does not commute: {tau_cod}.{f.mapping[m]} vs {g.mapping[m]}.{tau_dom}",
             ))
     return ValidationReport.from_violations(violations)
+
+
+# The sorted-walk presentation checks of standard-form validation, with the
+# kernel behind them, kept as the reference for ``validate_standard``, which
+# finds each fault in C-level passes and walks only the failing entries.  One
+# line differs: this walk reports an arrow ``e: B -> B`` with ``B`` unknown twice.
+def reference_validate_standard(cat: StdCategory) -> ValidationReport:
+    check_names(cat.objects)
+    check_names(cat.arrows)
+    check_cap(MAX_MORPHISMS, cat.arrows)
+    arrows = cat.arrows
+    violations = []
+
+    for name, (dom, cod) in sorted(arrows.items()):
+        for obj in (dom, cod):
+            if obj not in cat.objects:
+                violations.append(violation(
+                    NAME_NOT_FOUND, (name, obj), f"arrow {name} references unknown object {obj}",
+                ))
+
+    unknown = set()
+    for (after, before), result in cat.table.items():
+        unknown.update(part for part in (after, before, result) if part not in arrows)
+    for name in sorted(unknown):
+        violations.append(violation(
+            NAME_NOT_FOUND, (name,), f"table references unknown arrow {name}",
+        ))
+
+    # Table entries must be composable pairs with well-typed results.
+    for (after, before), result in sorted(cat.table.items()):
+        ta, tb, tr = arrows.get(after), arrows.get(before), arrows.get(result)
+        if ta is None or tb is None or tr is None:
+            continue
+        if tb[1] != ta[0]:
+            violations.append(violation(
+                TYPING, (after, before), f"{after}.{before} defined but cod({before}) != dom({after})",
+            ))
+        elif tr != (tb[0], ta[1]):
+            violations.append(violation(
+                TYPING, (after, before, result),
+                f"composite {result} of {after}.{before} is not typed {tb[0]} -> {ta[1]}",
+            ))
+
+    # Composition must be total on composable pairs.
+    for after, before in product(sorted(arrows), repeat=2):
+        if arrows[before][1] == arrows[after][0] and (after, before) not in cat.table:
+            violations.append(violation(
+                TOTALITY, (after, before),
+                f"composition not defined on composable pair ({after}, {before})",
+            ))
+
+    # Identity arrows: declared for known objects, present, typed B -> B,
+    # neutral wherever composed.
+    for obj in sorted(set(cat.id_of) - cat.objects):
+        violations.append(violation(
+            NAME_NOT_FOUND, (obj,), f"identity declared for unknown object {obj}",
+        ))
+    for obj in sorted(cat.objects):
+        ident = cat.id_of.get(obj)
+        if ident is None:
+            violations.append(violation(
+                IDENTITY_MISSING, (obj,), f"object {obj} has no identity arrow",
+            ))
+            continue
+        t = arrows.get(ident)
+        if t is None:
+            violations.append(violation(
+                NAME_NOT_FOUND, (ident,), f"identity of {obj} names unknown arrow {ident}",
+            ))
+            continue
+        if t != (obj, obj):
+            violations.append(violation(
+                TYPING, (ident, obj), f"identity arrow {ident} of {obj} is not typed {obj} -> {obj}",
+            ))
+            continue
+        for name, (dom, cod) in sorted(arrows.items()):
+            if dom == obj:
+                got = cat.table.get((name, ident))
+                if got is not None and got != name:
+                    violations.append(violation(
+                        IDENTITY_NONNEUTRAL, (ident, name), f"{name}.{ident} = {got}, expected {name}",
+                    ))
+            if cod == obj:
+                got = cat.table.get((ident, name))
+                if got is not None and got != name:
+                    violations.append(violation(
+                        IDENTITY_NONNEUTRAL, (ident, name), f"{ident}.{name} = {got}, expected {name}",
+                    ))
+
+    if violations:
+        return ValidationReport.from_violations(violations)
+    return validate_objectless(cat.arrows, cat.table)
 
 
 # The joined-loop closure and thin-category table, kept as references for the

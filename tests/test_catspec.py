@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import sys
 import time
 from pathlib import Path
@@ -24,7 +25,7 @@ from arrowcat.catspec import (
 from arrowcat.cli import main
 from arrowcat.core import validate_objectless
 from arrowcat.equivalence import identity_nat
-from arrowcat.errors import CapacityError, GeneratorError, InvalidCategoryError
+from arrowcat.errors import CapacityError, GeneratorError, InvalidCategoryError, NameNotFoundError, NotMonotoneError
 from arrowcat.functors import functor_identity, validate_nat
 from arrowcat.generators import (
     Poset,
@@ -35,6 +36,7 @@ from arrowcat.generators import (
     gen_poset,
     gen_random,
     gen_walking_iso,
+    monotone_map_check,
 )
 from arrowcat.standard import validate_standard
 import catalog as fx
@@ -101,6 +103,12 @@ category C {
     assert parse(out) == doc
 
 
+def test_standard_of_an_objectless_category_is_not_found():
+    doc = parse("objless A {\n  arrows: x;\n  compose: x . x = x;\n}\n")
+    with pytest.raises(NameNotFoundError, match=r"^category 'A' is not in standard form$"):
+        doc.standard("A")
+
+
 def test_nonneutral_identity_entry_survives_parse():
     # The parser must hand bad identity compositions to the validator, not fix them.
     doc = parse("""
@@ -150,8 +158,8 @@ DECLARATION_DIAGNOSTICS = {
                                ["2:12: duplicate-name: auto identity name 'id_A' collides with a declared arrow; "
                                 "use 'id A = ...;'"]),
     "identity-of-undeclared-object": ("category C {\n  objects: A;\n  id B = e;\n}\n",
-                                      ["3:10: unknown-name: arrow 'e' references undeclared object 'B'"] * 2
-                                      + ["1:10: unknown-name: identity declared for undeclared object 'B'"]),
+                                      ["3:10: unknown-name: arrow 'e' references undeclared object 'B'",
+                                       "1:10: unknown-name: identity declared for undeclared object 'B'"]),
     "bracketed-variance": ("objless A {\n  arrows: x;\n  compose: x . x = x;\n}\n"
                            "functor F: A -> A [x] {\n  map x -> x;\n}\n",
                            ["5:20: syntax: expected 'contravariant', found 'x'"]),
@@ -546,6 +554,29 @@ def test_poset_rejects_a_relation_that_is_not_transitive():
         Poset(elements=tuple("abcd"), leq=frozenset(leq))
     x, y, z = str(exc.value).split("(")[1].rstrip(")").split(", ")
     assert (x, y) in leq and (y, z) in leq and (x, z) not in leq
+
+
+GENERATOR_INPUT_ERRORS = {
+    "poset-duplicate-elements": (lambda: Poset(("a", "a"), frozenset({("a", "a")})), "duplicate poset elements"),
+    "poset-not-reflexive": (lambda: Poset(("a", "b"), frozenset({("a", "a")})), "order is not reflexive at b"),
+    "monoid-not-total": (lambda: gen_monoid({("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s"}),
+                         "monoid table is not total: (s, s) missing"),
+    "cyclic-order-0": (lambda: gen_cyclic(0), "cyclic order must be >= 1"),
+    "discrete-0": (lambda: gen_discrete(0), "discrete category needs at least one object"),
+    "finset-negative-size": (lambda: gen_finset(-1), "max_size must be >= 0"),
+    "finset-duplicate-outside": (lambda: gen_finset(1, (2,)), "duplicate size 2 outside 0..1"),
+    "monotone-undefined": (lambda: monotone_map_check(fx.chain_poset(2, "p"), fx.chain_poset(2, "q"), {}),
+                           "map not defined at p0"),
+    "monotone-outside": (lambda: monotone_map_check(fx.chain_poset(2, "p"), fx.chain_poset(2, "q"),
+                                                    {"p0": "z", "p1": "q1"}), "p0 maps outside the target poset"),
+    "random-no-morphisms": (lambda: gen_random(0, 0), "max_morphisms must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("make, message", GENERATOR_INPUT_ERRORS.values(), ids=GENERATOR_INPUT_ERRORS)
+def test_generators_reject_ill_formed_input(make, message):
+    with pytest.raises((GeneratorError, NotMonotoneError), match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_gen_monoid_z2():

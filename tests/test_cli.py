@@ -212,6 +212,19 @@ def test_limits_preservation_check(capsys):
     assert code == 2
 
 
+def test_limits_preservation_failure_json_record(capsys, tmp_path):
+    # F sends the terminal object of One to i0, which is not terminal in the two-chain.
+    path = tmp_path / "not_preserved.cat"
+    path.write_text("objless One {\n  arrows: s;\n  compose: s . s = s;\n}\n\n"
+                    "objless Two {\n  arrows: i0, i1, a;\n  compose: i0 . i0 = i0;\n  compose: i1 . i1 = i1;\n"
+                    "  compose: a . i0 = a;\n  compose: i1 . a = a;\n}\n\nfunctor F: One -> Two {\n  map s -> i0;\n}\n")
+    code, out, err = run(capsys, "limits", str(path), "--functor", "F", "--json")
+    message = "image i0 of terminal s is not terminal: hom(i1, i0) does not have exactly one morphism"
+    assert (code, json.loads(out), err) == (1, {
+        "command": "limits", "exit": 1, "ok": False, "scope": ["terminal", "products", "equalizers"],
+        "failures": [{"kind": "terminal", "diagram": ["s"], "counterexample": "i1", "message": message}]}, "")
+
+
 def test_admissible_command(capsys):
     code, out, _ = run(capsys, "admissible", str(FIXTURES / "galois.cat"),
                        "--left", "F", "--right", "G", "--unit", "eta", "--counit", "eps")
@@ -299,8 +312,7 @@ functor ToB: Arrow -> Arrow {
 }
 """
 # The object-keyed components of standard_nat.cat are keyed by identity in
-# objectless form.  Standard form names each object by its identity but keeps
-# the components as written, so that output does not parse again.
+# both forms: standard form names each object by its identity.
 CONVERTED_STANDARD_NAT = {
     "objectless": """objless Arrow {
   arrows: f, id_A, oneB;
@@ -325,8 +337,8 @@ nat collapse: Id => ToB {
 
 """ + STANDARD_NAT_FUNCTORS + """
 nat collapse: Id => ToB {
-  component A: f;
-  component B: oneB;
+  component id_A: f;
+  component oneB: oneB;
 }
 """,
 }
@@ -338,6 +350,16 @@ def test_convert_keys_the_components_of_a_standard_nat(capsys, to):
     assert run(capsys, "convert", path, "--to", to) == (0, want, "")
     record = {"catspec": want, "command": "convert", "exit": 0, "ok": True}
     assert run(capsys, "convert", path, "--to", to, "--json") == (0, json.dumps(record, sort_keys=True) + "\n", "")
+
+
+@pytest.mark.parametrize("to", ["objectless", "standard"])
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.cat")), ids=lambda p: p.name)
+def test_check_of_a_converted_fixture_exits_as_the_original(capsys, tmp_path, path, to):
+    code, text, _ = run(capsys, "convert", str(path), "--to", to)
+    assert code == 0
+    converted = tmp_path / "converted.cat"
+    converted.write_text(text)
+    assert run(capsys, "check", str(converted))[0] == run(capsys, "check", str(path))[0]
 
 
 def test_generate_finset_matches_fixture(capsys, tmp_path):

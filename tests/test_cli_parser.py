@@ -87,9 +87,7 @@ def _case_id(argv: list[str]) -> str:
 @pytest.mark.parametrize("argv", CASES, ids=_case_id)
 def test_main_matches_the_full_parser(argv, capsys, monkeypatch):
     narrow = _run(capsys, argv)
-    full = cli.build_parser
     monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
     assert narrow == _run(capsys, argv)
 
 

@@ -1,6 +1,8 @@
 """Standard-bridge tests: validation, both conversions, round trips, renaming."""
 from __future__ import annotations
 
+import random
+import re
 from itertools import product
 
 import pytest
@@ -10,9 +12,9 @@ from arrowcat import standard
 from arrowcat.core import MAX_MORPHISMS, validate_objectless
 from arrowcat.errors import CapacityError, InvalidCategoryError
 from arrowcat.generators import gen_discrete, gen_finset, gen_random
+from arrowcat.report import MAX_VIOLATIONS, ValidationReport, violation
 from arrowcat.standard import (
     StdCategory,
-    _presentation_holds,
     _presentation_violations,
     equal_up_to_renaming,
     to_objectless,
@@ -21,7 +23,7 @@ from arrowcat.standard import (
 )
 
 import catalog as fx
-from conftest import brute_standard_ok
+from conftest import brute_standard_ok, reference_validate_standard
 
 random_categories = st.integers(min_value=0, max_value=10_000).map(
     lambda seed: gen_random(seed, 16)
@@ -122,14 +124,85 @@ def _presentation_edits(std: StdCategory):
         yield StdCategory.make(objects, arrows, table, {**id_of, first: id_of[obj]})
 
 
-def test_the_one_pass_presentation_check_holds_exactly_when_the_walk_finds_nothing(monkeypatch):
-    corpus = []
+def _multi_fault_edits(std: StdCategory, seed: int, count: int):
+    """Seeded edits of one to six changes each: table entries dropped, reset or added, arrows
+    retyped or dropped, objects added or removed, identities redeclared or dropped.  The
+    arrow ``q`` and the object ``Z`` are unknown unless an edit declares them."""
+    rng = random.Random(seed)
+    objs, names = [*sorted(std.objects), "Z"], [*sorted(std.arrows), "q"]
+    for _ in range(count):
+        objects, arrows, table, id_of = set(std.objects), dict(std.arrows), dict(std.table), dict(std.id_of)
+        for _ in range(rng.randint(1, 6)):
+            edit = rng.randrange(8)
+            if edit == 0 and table:
+                del table[rng.choice(sorted(table))]
+            elif edit == 1 and table:
+                table[rng.choice(sorted(table))] = rng.choice(names)
+            elif edit == 2:
+                table[(rng.choice(names), rng.choice(names))] = rng.choice(names)
+            elif edit == 3:
+                arrows[rng.choice(names)] = (rng.choice(objs), rng.choice(objs))
+            elif edit == 4:
+                objects ^= {rng.choice(objs)}
+            elif edit == 5:
+                id_of[rng.choice(objs)] = rng.choice(names)
+            elif edit == 6 and id_of:
+                del id_of[rng.choice(sorted(id_of))]
+            elif edit == 7:
+                arrows.pop(rng.choice(names), None)
+        yield StdCategory.make(objects, arrows, table, id_of)
+
+
+def _reported_once(reference: ValidationReport, std: StdCategory) -> tuple[tuple, int]:
+    """The reference's shown violations and total with each arrow ``e: B -> B`` of an
+    unknown ``B`` reported once: the reference walk reports it twice, one after the other."""
+    shown = reference.violations
+    once = tuple(v for i, v in enumerate(shown)
+                 if not (i and v == shown[i - 1] and "references unknown object" in v.message))
+    repeats = sum(dom == cod and dom not in std.objects for dom, cod in std.arrows.values())
+    return once, reference.total - repeats
+
+
+# A pattern for each message the presentation checks write.
+_MESSAGES = ("^arrow .* references unknown object", "^table references unknown arrow", "defined but cod", "^composite ",
+             "^composition not defined", "^identity declared for unknown object", "has no identity arrow$",
+             "^identity of .* names unknown arrow", "^identity arrow .* is not typed", ", expected ")
+
+
+def test_reports_match_the_reference_walk():
+    seen, repeated = set(), 0
     for valid in (fx.two_chain_std(), gen_finset(2), fx.finset_dup_std()):
-        corpus += [valid, *_single_entry_edits(valid), *_presentation_edits(valid)]
-    holds = [_presentation_holds(std) for std in corpus]
-    monkeypatch.setattr(standard, "_presentation_holds", lambda cat: False)
-    assert holds == [not _presentation_violations(std) for std in corpus]
-    assert 3 <= holds.count(True) < len(holds)
+        for std in (valid, *_single_entry_edits(valid), *_presentation_edits(valid),
+                    *_multi_fault_edits(valid, seed=len(valid.arrows), count=300)):
+            report, reference = validate_standard(std), reference_validate_standard(std)
+            once, total = _reported_once(reference, std)
+            assert (report.total, report.violations[:len(once)]) == (total, once)
+            assert len(report.violations) == min(total, MAX_VIOLATIONS)
+            seen.update(p for p in _MESSAGES for v in report.violations if re.search(p, v.message))
+            repeated += total < reference.total
+    # The corpus reaches every message and the repeated unknown object.
+    assert seen == set(_MESSAGES) and repeated > 0
+
+
+def test_an_arrow_into_its_own_unknown_object_is_reported_once():
+    std = StdCategory.make(["A"], {"i": ("A", "A"), "e": ("B", "B")}, {("i", "i"): "i", ("e", "e"): "e"}, {"A": "i"})
+    assert validate_standard(std).lines() == [
+        "violation[name-not-found] witnesses=(e, B): arrow e references unknown object B"]
+
+
+def test_many_typing_faults_format_only_the_shown_violations(monkeypatch):
+    """150 entries f.f with f: A -> B, each a pair that is not composable."""
+    fs = [f"f{i}" for i in range(150)]
+    arrows = {"i": ("A", "A"), "j": ("B", "B"), **dict.fromkeys(fs, ("A", "B"))}
+    table = {("i", "i"): "i", ("j", "j"): "j", **{(f, "i"): f for f in fs}, **{("j", f): f for f in fs},
+             **{(f, f): f for f in fs}}
+    std = StdCategory.make(["A", "B"], arrows, table, {"A": "i", "B": "j"})
+    formatted = []
+    monkeypatch.setattr(standard, "format_violation", lambda *args: formatted.append(args) or violation(*args[:3]))
+    report = validate_standard(std)
+    assert (report.total, len(report.violations), len(formatted)) == (150, MAX_VIOLATIONS, MAX_VIOLATIONS)
+    assert {v.kind for v in report.violations} == {"typing"}
+    assert report.lines()[-1] == "... 50 more violations not shown (150 in all)"
 
 
 def test_identity_of_unknown_object_reported():
